@@ -5,23 +5,15 @@ from .fock import (
     SparseOperator,
     SqueezeParams,
     a_n_commutator_closed_form,
-    annihilation_matrix,
     commutator_diagonal_value,
-    creation_matrix,
     generator,
-    identity_operator,
-    lowering_power,
-    number_operator,
-    power,
 )
 from .evolve import (
-    EvolutionError,
     NotConvergedError,
     StateVector,
     SweepResult,
     SweepRow,
     VacuumSectorPropagator,
-    apply_exp_generator,
     converged_region,
     expectation_diagonal,
     leakage,

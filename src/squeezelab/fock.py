@@ -1,10 +1,10 @@
 """Truncated bosonic operators on an N-level Fock basis.
 
-All operators used here are banded: the ladder operators live on a single
-off-diagonal, their n-th powers on the +/-n off-diagonals, and the
-commutator [a^n, a†^n] is diagonal in the number basis.  Matrix elements
-are built as square roots of exact integer products, so no floating-point
-drift accumulates in the sqrt(k(k-1)...) factors even at large N.
+Two operators are built here: the generator K = r a†^n - r* a^n of U_n(r),
+which lives on the +/-n off-diagonals, and the commutator [a^n, a†^n],
+which is diagonal in the number basis.  Matrix elements are square roots
+of exact integer products, so no floating-point drift accumulates in the
+sqrt((k+1)...(k+n)) factors even at large N.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ class SparseOperator:
     """A square banded operator on a truncated Fock basis.
 
     Thin wrapper over a scipy CSR matrix carrying the Fock dimension and
-    the set of occupied diagonals.  Instances are immutable in practice:
-    every arithmetic operation returns a new object.
+    the set of occupied diagonals.
     """
 
     def __init__(self, dim: FockDim, matrix):
@@ -62,14 +61,8 @@ class SparseOperator:
         coo = self.matrix.tocoo()
         return tuple(sorted(set((coo.col - coo.row).tolist())))
 
-    def adjoint(self) -> "SparseOperator":
-        return SparseOperator(self.dim, self.matrix.conj().T)
-
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
 
     @property
     def is_diagonal(self) -> bool:
@@ -81,80 +74,14 @@ class SparseOperator:
             raise ValueError("operator is not diagonal in the number basis")
         return self.matrix.diagonal()
 
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return SparseOperator(self.dim, self.matrix @ other.matrix)
 
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return SparseOperator(self.dim, self.matrix + other.matrix)
+def _ladder_products(n: int, ks) -> np.ndarray:
+    """sqrt((k+1)(k+2)...(k+n)) for each k in `ks`, via exact integer products.
 
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return SparseOperator(self.dim, self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "SparseOperator":
-        return SparseOperator(self.dim, self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SparseOperator":
-        return SparseOperator(self.dim, -self.matrix)
-
-
-def _ladder_products(dim: FockDim, n: int) -> np.ndarray:
-    """sqrt((k+1)(k+2)...(k+n)) for k = 0 .. size-n-1, via exact integer products."""
-    out = np.empty(dim.size - n, dtype=float)
-    for k in range(dim.size - n):
-        prod = 1
-        for i in range(1, n + 1):
-            prod *= k + i
-        out[k] = math.sqrt(prod)
-    return out
-
-
-def annihilation_matrix(dim: FockDim) -> SparseOperator:
-    """The truncated annihilation operator: (k-1, k) entry sqrt(k)."""
-    amps = np.sqrt(np.arange(1, dim.size, dtype=float))
-    mat = sparse.diags_array([amps], offsets=[1], shape=(dim.size, dim.size))
-    return SparseOperator(dim, mat)
-
-
-def creation_matrix(dim: FockDim) -> SparseOperator:
-    return annihilation_matrix(dim).adjoint()
-
-
-def number_operator(dim: FockDim) -> SparseOperator:
-    mat = sparse.diags_array([np.arange(dim.size, dtype=float)], offsets=[0])
-    return SparseOperator(dim, mat)
-
-
-def identity_operator(dim: FockDim) -> SparseOperator:
-    return SparseOperator(dim, sparse.eye_array(dim.size))
-
-
-def power(op: SparseOperator, n: int) -> SparseOperator:
-    """Matrix power by repeated multiplication; power(op, 0) is the identity."""
-    if n < 0:
-        raise ValueError(f"power must be >= 0, got {n}")
-    result = identity_operator(op.dim)
-    for _ in range(n):
-        result = result @ op
-    return result
-
-
-def lowering_power(dim: FockDim, n: int) -> SparseOperator:
-    """a^n built directly on the +n diagonal from exact integer products."""
-    if n == 0:
-        return identity_operator(dim)
-    if n >= dim.size:
-        return SparseOperator(dim, sparse.csr_array((dim.size, dim.size)))
-    amps = _ladder_products(dim, n)
-    mat = sparse.diags_array([amps], offsets=[n], shape=(dim.size, dim.size))
-    return SparseOperator(dim, mat)
+    These are the matrix elements <k+n| a†^n |k>: the band of the generator
+    and, at k = 0, n, 2n, ..., the couplings of the vacuum-sector chain.
+    """
+    return np.array([math.sqrt(math.prod(range(k + 1, k + n + 1))) for k in ks], dtype=float)
 
 
 def generator(params: SqueezeParams, dim: FockDim) -> SparseOperator:
@@ -163,7 +90,7 @@ def generator(params: SqueezeParams, dim: FockDim) -> SparseOperator:
         raise ValueError(
             f"truncation {dim.size} must exceed squeezing order {params.n}"
         )
-    amps = _ladder_products(dim, params.n)
+    amps = _ladder_products(params.n, range(dim.size - params.n))
     r = complex(params.r)
     mat = sparse.diags_array(
         [r * amps, -np.conj(r) * amps],

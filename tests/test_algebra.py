@@ -16,7 +16,20 @@ from squeezelab.algebra import (
     vacuum_expectation,
     verify_closed_form,
 )
-from squeezelab.fock import FockDim, annihilation_matrix, creation_matrix, power
+
+
+def ladder_matrices(size):
+    """Dense truncated a and a† (independent of the package's operators)."""
+    a = np.diag(np.sqrt(np.arange(1, size, dtype=float)), 1)
+    return a, a.T
+
+
+def normal_ordered_matrix(P, a, adag):
+    """Matrix of sum c_pq a†^p a^q on the truncated basis."""
+    total = np.zeros(a.shape, dtype=complex)
+    for (p, q), coeff in P.terms.items():
+        total += float(coeff) * (np.linalg.matrix_power(adag, p) @ np.linalg.matrix_power(a, q))
+    return total
 
 
 def test_a_adag_product():
@@ -146,22 +159,14 @@ def test_multiplication_is_associative():
 def test_multiplication_matches_matrix_representation():
     # matrix oracle: compare the normal-ordered product against truncated matrices
     rng = random.Random(3)
-    dim = FockDim(14)
-    a = annihilation_matrix(dim)
-    adag = creation_matrix(dim)
-
-    def to_matrix(P):
-        total = np.zeros((dim.size, dim.size), dtype=complex)
-        for (p, q), coeff in P.terms.items():
-            total += float(coeff) * (power(adag, p) @ power(a, q)).to_dense()
-        return total
-
+    size = 14
+    a, adag = ladder_matrices(size)
     for _ in range(10):
         P, Q = random_poly(rng, max_exp=2), random_poly(rng, max_exp=2)
         product = multiply(P, Q)
-        safe = dim.size - 5  # truncation corrupts only the top rows/cols
-        lhs = (to_matrix(P) @ to_matrix(Q))[:safe, :safe]
-        rhs = to_matrix(product)[:safe, :safe]
+        safe = size - 5  # truncation corrupts only the top rows/cols
+        lhs = (normal_ordered_matrix(P, a, adag) @ normal_ordered_matrix(Q, a, adag))[:safe, :safe]
+        rhs = normal_ordered_matrix(product, a, adag)[:safe, :safe]
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -169,17 +174,13 @@ def test_multiplication_matches_matrix_representation():
 def test_nested_commutator_matrix_oracle(n, m):
     poly = nested_commutator(n, m)
     size = poly.degree + 4
-    dim = FockDim(size)
-    a = annihilation_matrix(dim)
-    adag = creation_matrix(dim)
-    A = (power(adag, n) - power(a, n)).to_dense()
+    a, adag = ladder_matrices(size)
+    A = np.linalg.matrix_power(adag, n) - np.linalg.matrix_power(a, n)
     B = np.diag(np.arange(size, dtype=complex))
     current = B
     for _ in range(m):
         current = A @ current - current @ A
-    matrix_from_poly = np.zeros((size, size), dtype=complex)
-    for (p, q), coeff in poly.terms.items():
-        matrix_from_poly += float(coeff) * (power(adag, p) @ power(a, q)).to_dense()
+    matrix_from_poly = normal_ordered_matrix(poly, a, adag)
     safe = size - poly.degree  # truncation-safe block
     assert np.allclose(current[:safe, :safe], matrix_from_poly[:safe, :safe],
                        rtol=1e-10, atol=1e-8)
@@ -197,7 +198,7 @@ def test_taylor_partial_sum_two_photon():
 
 def test_taylor_matches_numeric_inside_radius():
     from squeezelab.evolve import mean_photon, squeezed_state
-    from squeezelab.fock import SqueezeParams
+    from squeezelab.fock import FockDim, SqueezeParams
 
     series = coefficients(3, 20)
     numeric = mean_photon(squeezed_state(SqueezeParams(3, 0.05), FockDim(2000)))

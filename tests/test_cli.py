@@ -67,6 +67,26 @@ def test_sweep_usage_error_writes_no_file(tmp_path, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--bogus"],
+    ["sweep", "--n", "x"],
+    ["sweep", "--tol", "1e-12"],
+    ["compare", "--tol", "1e-12"],
+    [],
+])
+def test_parse_errors_exit_with_usage_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error" in err
+
+
+def test_help_exits_ok(capsys):
+    code, out, _ = run(capsys, "sweep", "--help")
+    assert code == EXIT_OK
+    assert "--tol" not in out
+
+
 def test_sweep_deterministic_output(tmp_path, capsys):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:

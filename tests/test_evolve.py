@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from squeezelab.evolve import (
     NotConvergedError,
     StateVector,
     VacuumSectorPropagator,
-    apply_exp_generator,
     converged_region,
     expectation_diagonal,
     leakage,
@@ -19,11 +19,10 @@ from squeezelab.evolve import (
 )
 from squeezelab.fock import (
     FockDim,
+    SparseOperator,
     SqueezeParams,
     a_n_commutator_closed_form,
-    annihilation_matrix,
     generator,
-    number_operator,
 )
 
 
@@ -35,16 +34,14 @@ def dense_exponential_state(n, r, size):
 
 def test_zero_generator_is_identity():
     dim = FockDim(16)
-    K = generator(SqueezeParams(2, 0.0), dim)
-    v = StateVector.vacuum(dim)
-    w = apply_exp_generator(K, v)
-    assert np.array_equal(w.amplitudes, v.amplitudes)
+    w = squeezed_state(SqueezeParams(2, 0.0), dim, method="expm")
+    assert np.array_equal(w.amplitudes, StateVector.vacuum(dim).amplitudes)
 
 
 def test_coherent_state_amplitudes():
     # n=1, r=1 gives a coherent state: |amp_k| = e^(-1/2)/sqrt(k!)
     dim = FockDim(64)
-    w = squeezed_state(SqueezeParams(1, 1.0), dim, method="krylov")
+    w = squeezed_state(SqueezeParams(1, 1.0), dim, method="expm")
     for k in range(25):
         expected = math.exp(-0.5) / math.sqrt(math.factorial(k))
         assert abs(w.amplitudes[k]) == pytest.approx(expected, abs=1e-12)
@@ -61,38 +58,48 @@ def test_two_photon_mean_matches_sinh():
     (3, 0.3, 64),
     (4, 0.2, 64),
     (3, 0.15 + 0.1j, 64),
+    (4, 0.05 - 0.2j, 64),
 ])
-def test_krylov_matches_dense_oracle(n, r, size):
-    dim = FockDim(size)
-    K = generator(SqueezeParams(n, r), dim)
-    w = apply_exp_generator(K, StateVector.vacuum(dim), tol=1e-12)
-    oracle = expm(K.to_dense())[:, 0]
+def test_chain_matches_dense_oracle(n, r, size):
+    # complex r exercises the chain's phase factor (i e^{i arg r})^j
+    state = squeezed_state(SqueezeParams(n, r), FockDim(size), method="chain")
+    oracle = dense_exponential_state(n, r, size)
+    assert np.linalg.norm(state.amplitudes - oracle) <= 1e-10
+    assert state.norm_error <= 1e-10
+
+
+@pytest.mark.parametrize("n,r,size", [
+    (1, 0.8, 48),
+    (2, 0.4, 64),
+    (3, 0.3, 64),
+    (4, 0.2, 64),
+    (3, 0.15 + 0.1j, 64),
+])
+def test_expm_matches_dense_oracle(n, r, size):
+    w = squeezed_state(SqueezeParams(n, r), FockDim(size), method="expm")
+    oracle = dense_exponential_state(n, r, size)
     assert np.linalg.norm(w.amplitudes - oracle) <= 1e-10
     assert w.norm_error <= 1e-10
 
 
-@pytest.mark.parametrize("n,r,size", [(2, 0.4, 64), (3, 0.3, 64), (4, 0.2, 64)])
-def test_chain_matches_dense_oracle(n, r, size):
-    state = squeezed_state(SqueezeParams(n, r), FockDim(size), method="chain")
-    oracle = dense_exponential_state(n, r, size)
-    assert np.linalg.norm(state.amplitudes - oracle) <= 1e-10
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    n_size=st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 96))),
+    mag=st.floats(0.0, 0.5),
+    theta=st.floats(-math.pi, math.pi),
+)
+def test_chain_matches_expm_property(n_size, mag, theta):
+    n, size = n_size
+    params = SqueezeParams(n, mag * complex(math.cos(theta), math.sin(theta)))
+    chain = squeezed_state(params, FockDim(size), method="chain")
+    oracle = squeezed_state(params, FockDim(size), method="expm")
+    assert np.linalg.norm(chain.amplitudes - oracle.amplitudes) <= 1e-10
 
 
-def test_krylov_general_vector():
-    rng = np.random.default_rng(7)
-    dim = FockDim(40)
-    K = generator(SqueezeParams(2, 0.3), dim)
-    v = rng.normal(size=40) + 1j * rng.normal(size=40)
-    v /= np.linalg.norm(v)
-    w = apply_exp_generator(K, StateVector(dim, v))
-    oracle = expm(K.to_dense()) @ v
-    assert np.linalg.norm(w.amplitudes - oracle) <= 1e-10
-
-
-def test_apply_exp_rejects_non_anti_hermitian():
-    dim = FockDim(8)
-    with pytest.raises(ValueError):
-        apply_exp_generator(annihilation_matrix(dim), StateVector.vacuum(dim))
+def test_squeezed_state_rejects_unknown_method():
+    for method in ("auto", "krylov"):
+        with pytest.raises(ValueError):
+            squeezed_state(SqueezeParams(2, 0.1), FockDim(16), method=method)
 
 
 def test_mean_photon_basis_states():
@@ -121,13 +128,14 @@ def test_expectation_diagonal_examples():
 def test_expectation_diagonal_rejects_offdiagonal():
     dim = FockDim(8)
     with pytest.raises(ValueError):
-        expectation_diagonal(annihilation_matrix(dim), StateVector.vacuum(dim))
+        expectation_diagonal(generator(SqueezeParams(1, 1.0), dim), StateVector.vacuum(dim))
 
 
 def test_number_operator_expectation_equals_mean_photon():
     dim = FockDim(64)
     w = squeezed_state(SqueezeParams(3, 0.05), dim)
-    assert expectation_diagonal(number_operator(dim), w) == pytest.approx(mean_photon(w), abs=1e-14)
+    number = SparseOperator(dim, np.diag(np.arange(64.0)))
+    assert expectation_diagonal(number, w) == pytest.approx(mean_photon(w), abs=1e-14)
 
 
 def test_leakage_trivial_cases():
@@ -171,11 +179,11 @@ def test_norm_preservation_across_regimes():
 
 
 def test_phase_invariance_of_mean_photon():
-    # Theorem: <a†a> depends on |r| only; exercised through the Krylov path
+    # Theorem: <a†a> depends on |r| only; the chain uses |r|, so check the oracle
     values = []
     for theta in (0.0, math.pi / 4, math.pi / 2):
         r = 0.1 * complex(math.cos(theta), math.sin(theta))
-        w = squeezed_state(SqueezeParams(3, r), FockDim(64), method="krylov")
+        w = squeezed_state(SqueezeParams(3, r), FockDim(64), method="expm")
         values.append(mean_photon(w))
     assert max(values) - min(values) <= 1e-9
 

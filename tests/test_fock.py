@@ -2,33 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from squeezelab.fock import (
     FockDim,
+    SparseOperator,
     SqueezeParams,
     a_n_commutator_closed_form,
-    annihilation_matrix,
     commutator_diagonal_value,
-    creation_matrix,
     generator,
-    identity_operator,
-    lowering_power,
-    power,
 )
-
-
-def test_annihilation_entries_n3():
-    a = annihilation_matrix(FockDim(3)).to_dense()
-    expected = np.zeros((3, 3))
-    expected[0, 1] = 1.0
-    expected[1, 2] = math.sqrt(2)
-    assert np.array_equal(a, expected)
-
-
-def test_annihilation_minimal_dimension():
-    a = annihilation_matrix(FockDim(2)).to_dense()
-    assert a[0, 1] == 1.0
-    assert np.count_nonzero(a) == 1
 
 
 def test_rejects_too_small_truncation():
@@ -36,39 +19,14 @@ def test_rejects_too_small_truncation():
         FockDim(1)
 
 
-def test_creation_is_adjoint():
-    dim = FockDim(6)
-    adag = creation_matrix(dim).to_dense()
-    for k in range(1, 6):
-        assert adag[k, k - 1] == pytest.approx(math.sqrt(k), abs=0)
-    a = annihilation_matrix(dim).to_dense()
-    assert np.array_equal(adag, a.conj().T)
-
-
-def test_power_zero_is_identity():
-    dim = FockDim(5)
-    assert np.array_equal(power(annihilation_matrix(dim), 0).to_dense(), np.eye(5))
-
-
-def test_power_two_entries():
-    a2 = power(annihilation_matrix(FockDim(4)), 2).to_dense()
-    assert a2[0, 2] == pytest.approx(math.sqrt(2), rel=1e-15)
-    assert a2[1, 3] == pytest.approx(math.sqrt(6), rel=1e-15)
-    assert np.count_nonzero(a2) == 2
-
-
-def test_power_nilpotent_on_truncated_space():
-    dim = FockDim(5)
-    for n in (5, 6):
-        assert np.count_nonzero(power(annihilation_matrix(dim), n).to_dense()) == 0
-
-
-def test_lowering_power_matches_repeated_product():
-    dim = FockDim(30)
-    for n in range(5):
-        direct = lowering_power(dim, n).to_dense()
-        repeated = power(annihilation_matrix(dim), n).to_dense()
-        assert np.allclose(direct, repeated, rtol=1e-14, atol=0)
+def test_generator_band_matches_repeated_product():
+    # the exact-integer band equals a†^n built by repeated matrix products
+    size = 30
+    adag = np.diag(np.sqrt(np.arange(1, size, dtype=float)), -1)
+    for n in range(1, 5):
+        K = generator(SqueezeParams(n, 1.0), FockDim(size)).to_dense()
+        repeated = np.linalg.matrix_power(adag, n)
+        assert np.allclose(np.tril(K), repeated, rtol=1e-14, atol=0)
 
 
 def test_generator_displacement_entries():
@@ -121,8 +79,9 @@ def test_closed_form_explicit_values():
 def test_matrix_commutator_matches_closed_form(n):
     # truncation corrupts only the top band: compare rows/cols m < N - n
     dim = FockDim(2 * n + 8)
-    a_n = power(annihilation_matrix(dim), n).to_dense()
-    adag_n = power(creation_matrix(dim), n).to_dense()
+    a = np.diag(np.sqrt(np.arange(1, dim.size, dtype=float)), 1)
+    a_n = np.linalg.matrix_power(a, n)
+    adag_n = a_n.T
     comm = a_n @ adag_n - adag_n @ a_n
     closed = a_n_commutator_closed_form(n, dim).to_dense()
     safe = dim.size - n
@@ -137,21 +96,12 @@ def test_closed_form_diagonal_minimum(n):
     assert all(v > 0 for v in values)
 
 
-def test_operator_arithmetic_dimension_checks():
-    a = annihilation_matrix(FockDim(4))
-    b = annihilation_matrix(FockDim(5))
-    with pytest.raises(ValueError):
-        a @ b
-    with pytest.raises(ValueError):
-        a + b
-
-
 def test_diagonal_accessor_rejects_offdiagonal():
     with pytest.raises(ValueError):
-        annihilation_matrix(FockDim(4)).diagonal()
+        generator(SqueezeParams(1, 1.0), FockDim(4)).diagonal()
 
 
 def test_identity_is_diagonal():
-    op = identity_operator(FockDim(4))
+    op = SparseOperator(FockDim(4), sparse.eye_array(4))
     assert op.is_diagonal
     assert np.array_equal(op.diagonal().real, np.ones(4))
