@@ -65,11 +65,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    try:
-        series_ = algebra.coefficients(args.n, args.M, max_degree=args.max_degree)
-    except algebra.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    series_ = algebra.coefficients(args.n, args.M, max_degree=args.max_degree)
     _write(args.out, series_.to_csv())
     return EXIT_OK
 
@@ -97,11 +93,7 @@ def cmd_fit(args) -> int:
     if args.coeffs:
         series_ = read_coefficient_csv(args.coeffs)
     else:
-        try:
-            series_ = algebra.coefficients(args.n, args.M, max_degree=args.max_degree)
-        except algebra.BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+        series_ = algebra.coefficients(args.n, args.M, max_degree=args.max_degree)
     try:
         fit = series.fit_exponential(series_, last_points=args.last_points)
     except ValueError as exc:
@@ -184,7 +176,7 @@ def _verify_checks(args):
             )
             certified = [r for r in r_grid if r <= r_max]
             prop = evolve.VacuumSectorPropagator(n, FockDim(n_pair[0]))
-            values = [prop.mean_photon(r) for r in certified]
+            values = list(prop.grid_diagnostics(certified)[0])
             if want in (None, "monotonic"):
                 mono = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
                 yield (

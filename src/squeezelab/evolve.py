@@ -3,9 +3,10 @@
 Vacuum evolution has one representation, :class:`VacuumSectorPropagator`.
 The generator couples Fock levels in steps of n, so acting on |0> it
 reduces exactly to a real symmetric tridiagonal chain over levels
-0, n, 2n, ...; one eigendecomposition of that chain serves every value of r
-at a given (n, N).  This is what makes sweeps over hundreds of r values at
-N ~ 10^4 cheap.
+0, n, 2n, ...  Only the few dozen eigenpairs of that chain that overlap |0>
+are computed, once per (n, N), and a whole grid of r is then one pair of
+real matrix products.  This is what makes sweeps over hundreds of r values
+at N ~ 10^4 cheap.
 
 ``squeezed_state(..., method="expm")`` is the independent oracle: scipy's
 ``expm_multiply`` applied to the full banded generator, for cross-checks at
@@ -14,10 +15,7 @@ small N.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -76,24 +74,56 @@ def leakage(v: StateVector, tail: int) -> float:
     return float(np.sum(np.abs(v.amplitudes[v.dim.size - tail:]) ** 2))
 
 
-@lru_cache(maxsize=4)
+# Bound on |e0 - V V^T e0|, the norm of the part of |0> outside the kept
+# eigenvectors, which bounds the error of every evolved state.
+WINDOW_TOL = 1e-14
+# Complex entries in one block of chain_grid's output (16 MB).
+_BLOCK_ENTRIES = 1 << 20
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
 def _chain_eigensystem(n: int, size: int):
-    """Eigendecomposition of the vacuum-sector chain for order n at truncation `size`.
+    """Eigenpairs of the vacuum-sector chain that carry |0>, for order n at truncation `size`.
 
     The chain visits levels 0, n, 2n, ... < size with coupling
     b_j = sqrt((jn+1)(jn+2)...(jn+n)); after a diagonal gauge it is the
     real symmetric tridiagonal matrix with zero diagonal and off-diagonal b.
+    Its spectrum is symmetric about 0 and the squared overlaps of |0> with
+    the eigenvectors (the Gauss weights of this Jacobi matrix) are negligible
+    away from the smallest |lambda|, so bisection computes only the 2k
+    eigenpairs centred on index L // 2.  k doubles from 32 until the
+    discarded weight |e0 - V V^T e0| is at most WINDOW_TOL; a window that
+    would cover the chain becomes the full eigensolve.
+
+    Returns (eigenvalues, eigenvectors as columns, their first row, discarded).
     """
     b = _ladder_products(n, range(0, size - n, n))
-    lam, V = eigh_tridiagonal(np.zeros(len(b) + 1), b)
-    return lam, V, V[0].copy()
+    diag = np.zeros(len(b) + 1)
+    k = 32
+    while True:
+        if 2 * k < len(diag):
+            lo = len(diag) // 2 - k
+            lam, V = eigh_tridiagonal(
+                diag, b, select="i", select_range=(lo, lo + 2 * k - 1),
+                tol=2 * np.finfo(float).tiny,
+            )
+        else:
+            lam, V = eigh_tridiagonal(diag, b)
+        rest = -(V @ V[0])
+        rest[0] += 1.0
+        discarded = float(np.linalg.norm(rest))
+        if discarded <= WINDOW_TOL or len(lam) == len(diag):
+            return lam, V, V[0], discarded
+        k *= 2
 
 
 class VacuumSectorPropagator:
     """Exact evolution of exp(r a†^n - r* a^n)|0> on a truncated basis.
 
-    Diagonalizes the vacuum-sector chain once; each value of r then costs
-    a single dense matrix-vector product of chain length ~ N/n.
+    Solves the vacuum-sector chain once for the eigenpairs that carry |0>;
+    a whole grid of r then costs one pair of real matrix products of
+    size L x 2k by 2k x len(grid), with L ~ N/n the chain length.
+    `discarded` bounds the norm of the error of every evolved state.
     """
 
     def __init__(self, n: int, dim: FockDim):
@@ -101,20 +131,47 @@ class VacuumSectorPropagator:
             raise ValueError(f"truncation {dim.size} must exceed squeezing order {n}")
         self.n = n
         self.dim = dim
-        self.eigvals, self.eigvecs, self._first_row = _chain_eigensystem(n, dim.size)
-        self.levels = n * np.arange(len(self.eigvals))
+        self.eigvals, self.eigvecs, self._first_row, self.discarded = _chain_eigensystem(n, dim.size)
+        self.levels = n * np.arange(len(self.eigvecs))
+
+    def chain_grid(self, r_values) -> np.ndarray:
+        """Chain amplitudes for every r in `r_values`, one column per r.
+
+        Row j is the amplitude on level jn; all other levels are exactly zero.
+        """
+        r = np.asarray(r_values, dtype=complex).reshape(-1)
+        mag = np.abs(r)
+        j = np.arange(len(self.eigvecs))
+        out = np.empty((len(j), len(r)), dtype=complex)
+        block = max(1, _BLOCK_ENTRIES // len(j))
+        for start in range(0, len(r), block):
+            cols = slice(start, start + block)
+            # exp(-i lambda |r|) in the eigenbasis, then the gauge phase (i e^{i arg r})^j
+            angles = np.outer(-self.eigvals, mag[cols])
+            chunk = out[:, cols]
+            chunk.real = self.eigvecs @ (np.cos(angles) * self._first_row[:, None])
+            chunk.imag = self.eigvecs @ (np.sin(angles) * self._first_row[:, None])
+            chunk *= _I_POWERS[j % 4, None] * np.exp(1j * np.outer(j, np.angle(r[cols])))
+        out[:, mag == 0] = np.eye(len(j), 1)  # the exact vacuum
+        return out
 
     def chain_amplitudes(self, r: complex) -> np.ndarray:
         """Amplitudes on levels 0, n, 2n, ...; all other levels are exactly zero."""
-        mag = abs(r)
-        if mag == 0:
-            chain = np.zeros(len(self.eigvals), dtype=complex)
-            chain[0] = 1.0
-            return chain
-        chain = self.eigvecs @ (np.exp(-1j * mag * self.eigvals) * self._first_row)
-        j = np.arange(len(chain))
-        phase = (1j * np.exp(1j * np.angle(r) if mag else 0.0)) ** j
-        return phase * chain
+        return self.chain_grid([r])[:, 0]
+
+    def grid_diagnostics(self, r_values, tail: int | None = None) -> tuple[np.ndarray, ...]:
+        """Mean photon number, leakage and norm error at every r in `r_values`.
+
+        Leakage sums the chain sites at levels >= N - tail (default :func:`default_tail`).
+        """
+        tail = default_tail(self.n) if tail is None else tail
+        if not 1 <= tail < self.dim.size:
+            raise ValueError(f"tail must be in [1, {self.dim.size - 1}], got {tail}")
+        probs = np.abs(self.chain_grid(r_values)) ** 2
+        mean = self.levels @ probs
+        leak = probs[self.levels >= self.dim.size - tail].sum(axis=0)
+        norm_error = np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)
+        return mean, leak, norm_error
 
     def state(self, r: complex) -> StateVector:
         amps = np.zeros(self.dim.size, dtype=complex)
@@ -140,8 +197,11 @@ def squeezed_state(params: SqueezeParams, dim: FockDim, method: str = "chain") -
         # imported here: loading scipy.sparse.linalg would add ~0.03 s to every CLI start
         from scipy.sparse.linalg import expm_multiply
 
-        vacuum = StateVector.vacuum(dim).amplitudes
-        return StateVector(dim, expm_multiply(generator(params, dim).matrix, vacuum))
+        vacuum = StateVector.vacuum(dim)
+        if abs(params.r) < np.finfo(float).tiny:
+            # exp(K)|0> - |0> < 1e-300; expm_multiply would take 0 steps and divide 0 by 0
+            return vacuum
+        return StateVector(dim, expm_multiply(generator(params, dim).matrix, vacuum.amplitudes))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -179,14 +239,6 @@ def default_tail(n: int) -> int:
     return max(10, 2 * n)
 
 
-def _max_threads() -> int:
-    raw = os.environ.get("SQUEEZELAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, os.cpu_count() or 1)
-
-
 def sweep_photon_number(
     n: int,
     r_grid,
@@ -195,7 +247,8 @@ def sweep_photon_number(
 ) -> SweepResult:
     """Mean photon number over a grid of r for each truncation in N_list.
 
-    Output is sorted by (N, r) regardless of execution order.
+    Each truncation's whole r grid is evaluated in one :meth:`chain_grid`
+    call.  Rows are sorted by (N, r).
     """
     r_grid = [float(r) for r in r_grid]
     N_list = [int(N) for N in N_list]
@@ -204,37 +257,13 @@ def sweep_photon_number(
     if sorted(r_grid) != r_grid or sorted(N_list) != N_list:
         raise ValueError("r grid and N list must be ascending")
 
-    row_tail = tail if tail is not None else default_tail(n)
-    if not 1 <= row_tail < min(N_list):
-        raise ValueError(f"leakage tail {row_tail} must be in [1, {min(N_list) - 1}]")
-
-    def rows_for(N: int) -> list[SweepRow]:
-        dim = FockDim(N)
-        prop = VacuumSectorPropagator(n, dim)
-        out = []
-        for r in r_grid:
-            state = prop.state(r)
-            out.append(
-                SweepRow(
-                    N=N,
-                    r=r,
-                    mean_photon=mean_photon(state),
-                    leakage=leakage(state, row_tail),
-                    norm_error=state.norm_error,
-                )
-            )
-        return out
-
-    workers = min(_max_threads(), len(N_list))
     result = SweepResult(n=n)
-    if workers == 1:
-        for N in N_list:
-            result.rows.extend(rows_for(N))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for rows in pool.map(rows_for, N_list):
-                result.rows.extend(rows)
-    result.rows.sort(key=lambda row: (row.N, row.r))
+    for N in N_list:
+        stats = VacuumSectorPropagator(n, FockDim(N)).grid_diagnostics(r_grid, tail)
+        result.rows += [
+            SweepRow(N, r, float(photons), float(leak), float(norm_error))
+            for r, photons, leak, norm_error in zip(r_grid, *stats)
+        ]
     return result
 
 
@@ -259,16 +288,12 @@ def second_derivative_check(
     if r < 0 or h <= 0:
         raise ValueError("need r >= 0 and h > 0")
     prop = VacuumSectorPropagator(n, dim)
-    tail = default_tail(n)
-    values = {}
-    for point in (abs(r - h), r, r + h):
-        state = prop.state(point)
-        if leakage(state, tail) > leak_tol:
-            raise NotConvergedError(
-                f"state at r={point} is not converged at N={dim.size}"
-            )
-        values[point] = mean_photon(state)
-    fd = (values[r + h] - 2 * values[r] + values[abs(r - h)]) / h**2
+    points = [abs(r - h), r, r + h]
+    photons, leak, _ = prop.grid_diagnostics(points)
+    for point, point_leak in zip(points, leak):
+        if point_leak > leak_tol:
+            raise NotConvergedError(f"state at r={point} is not converged at N={dim.size}")
+    fd = float(photons[2] - 2 * photons[1] + photons[0]) / h**2
     analytic = 2 * n * expectation_diagonal(
         a_n_commutator_closed_form(n, dim), prop.state(r)
     )
@@ -291,17 +316,13 @@ def converged_region(
     N_a, N_b = N_pair
     if N_a == N_b:
         raise ValueError("truncation pair must be distinct")
-    r_grid = [float(r) for r in r_grid]
-    prop_a = VacuumSectorPropagator(n, FockDim(N_a))
-    prop_b = VacuumSectorPropagator(n, FockDim(N_b))
-    tail = default_tail(n)
+    r_grid = sorted(float(r) for r in r_grid)
+    photons_a, leak_a, _ = VacuumSectorPropagator(n, FockDim(N_a)).grid_diagnostics(r_grid)
+    photons_b, leak_b, _ = VacuumSectorPropagator(n, FockDim(N_b)).grid_diagnostics(r_grid)
     best = 0.0
-    for r in sorted(r_grid):
-        state_a = prop_a.state(r)
-        state_b = prop_b.state(r)
-        if leakage(state_a, tail) > leak_tol or leakage(state_b, tail) > leak_tol:
+    for r, pa, pb, la, lb in zip(r_grid, photons_a, photons_b, leak_a, leak_b):
+        if la > leak_tol or lb > leak_tol:
             break
-        pa, pb = mean_photon(state_a), mean_photon(state_b)
         scale = max(abs(pa), abs(pb), 1e-30)
         if r > 0 and abs(pa - pb) / scale > agree_tol:
             break

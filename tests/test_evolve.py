@@ -1,15 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from squeezelab.evolve import (
     NotConvergedError,
     StateVector,
     VacuumSectorPropagator,
     converged_region,
+    default_tail,
     expectation_diagonal,
     leakage,
     mean_photon,
@@ -21,6 +23,7 @@ from squeezelab.fock import (
     FockDim,
     SparseOperator,
     SqueezeParams,
+    _ladder_products,
     a_n_commutator_closed_form,
     generator,
 )
@@ -94,6 +97,81 @@ def test_chain_matches_expm_property(n_size, mag, theta):
     chain = squeezed_state(params, FockDim(size), method="chain")
     oracle = squeezed_state(params, FockDim(size), method="expm")
     assert np.linalg.norm(chain.amplitudes - oracle.amplitudes) <= 1e-10
+
+
+def full_chain_reconstruction(n, size, r_values):
+    """Reference: the chain state from every eigenpair of one full eigensolve."""
+    b = _ladder_products(n, range(0, size - n, n))
+    lam, V = eigh_tridiagonal(np.zeros(len(b) + 1), b)
+    j = np.arange(len(lam))
+    return np.stack([
+        (1j * np.exp(1j * np.angle(r))) ** j * (V @ (np.exp(-1j * abs(r) * lam) * V[0]))
+        for r in r_values
+    ], axis=1)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    n_size=st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(n + 1, 600))),
+    r_values=st.lists(st.complex_numbers(max_magnitude=0.5), min_size=1, max_size=4),
+)
+def test_chain_grid_matches_full_eigensolve(n_size, r_values):
+    n, size = n_size
+    grid = VacuumSectorPropagator(n, FockDim(size)).chain_grid(r_values)
+    reference = full_chain_reconstruction(n, size, r_values)
+    assert np.linalg.norm(grid - reference, axis=0).max() <= 1e-12
+
+
+def test_chain_grid_columns_are_chain_amplitudes():
+    prop = VacuumSectorPropagator(3, FockDim(600))
+    r_values = [0.0, 0.05, 0.1 + 0.2j, -0.3, 0.45j, 0.5]
+    grid = prop.chain_grid(r_values)
+    for column, r in zip(grid.T, r_values):
+        assert np.linalg.norm(column - prop.chain_amplitudes(r)) <= 1e-15
+    vacuum = np.zeros(len(prop.levels))
+    vacuum[0] = 1.0
+    assert np.array_equal(grid[:, 0], vacuum)
+
+
+@pytest.mark.parametrize("n,size", [(3, 6000), (4, 24000)])
+def test_window_keeps_few_eigenpairs_at_large_truncation(n, size):
+    prop = VacuumSectorPropagator(n, FockDim(size))
+    assert prop.eigvecs.shape[1] <= 128 < prop.eigvecs.shape[0]
+    assert prop.discarded <= 1e-14
+
+
+def test_window_doubles_and_falls_back_to_full_chain():
+    wide = VacuumSectorPropagator(1, FockDim(2000))
+    assert 128 < wide.eigvecs.shape[1] < wide.eigvecs.shape[0]
+    assert wide.discarded <= 1e-14
+    full = VacuumSectorPropagator(3, FockDim(64))
+    assert full.eigvecs.shape == (22, 22)
+    assert full.discarded <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("N_pair", [(2000, 2001), (60, 61)])
+def test_sweep_matches_per_r_states(n, N_pair):
+    # at N = 60 the states reach the truncation, so leakage is far from round-off
+    r_grid = [0.025 * i for i in range(41)]
+    result = sweep_photon_number(n, r_grid, N_pair)
+    props = {N: VacuumSectorPropagator(n, FockDim(N)) for N in N_pair}
+    assert len(result.rows) == 82
+    for row in result.rows:
+        state = props[row.N].state(row.r)
+        assert row.mean_photon == pytest.approx(mean_photon(state), rel=1e-13, abs=0)
+        # round-off sized values are compared absolutely
+        ref_leakage = leakage(state, default_tail(n))
+        assert row.leakage == pytest.approx(ref_leakage, rel=1e-13, abs=1e-15)
+        assert abs(row.norm_error - state.norm_error) <= 1e-15
+
+
+def test_expm_subnormal_r_is_vacuum_without_warning():
+    dim = FockDim(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = squeezed_state(SqueezeParams(1, 5e-324), dim, method="expm")
+    assert np.array_equal(w.amplitudes, StateVector.vacuum(dim).amplitudes)
 
 
 def test_squeezed_state_rejects_unknown_method():
