@@ -170,13 +170,13 @@ def _verify_checks(args):
             raise UsageError("monotonicity check needs exactly two truncations")
         r_grid = parse_r_grid(args.r) if args.r else parse_r_grid("0:0.5:0.005")
         for n in orders:
-            r_max = evolve.converged_region(
+            r_max, photons = evolve.certify_truncation_pair(
                 n, (n_pair[0], n_pair[1]), r_grid,
                 leak_tol=args.leak_tol, agree_tol=args.agree_tol,
             )
+            # r_grid is ascending, so the certified points are a prefix of it
             certified = [r for r in r_grid if r <= r_max]
-            prop = evolve.VacuumSectorPropagator(n, FockDim(n_pair[0]))
-            values = list(prop.grid_diagnostics(certified)[0])
+            values = list(photons[:len(certified)])
             if want in (None, "monotonic"):
                 mono = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
                 yield (

@@ -3,10 +3,11 @@
 Vacuum evolution has one representation, :class:`VacuumSectorPropagator`.
 The generator couples Fock levels in steps of n, so acting on |0> it
 reduces exactly to a real symmetric tridiagonal chain over levels
-0, n, 2n, ...  Only the few dozen eigenpairs of that chain that overlap |0>
-are computed, once per (n, N), and a whole grid of r is then one pair of
-real matrix products.  This is what makes sweeps over hundreds of r values
-at N ~ 10^4 cheap.
+0, n, 2n, ...  Its eigenpairs come in pairs (lambda, v), (-lambda, S v) with
+S = diag((-1)^j), so only the few dozen lambda >= 0 eigenpairs that overlap
+|0> are computed, once per (n, N).  A whole grid of r is then two real
+matrix products, cosines for the even sites and sines for the odd ones.
+This is what makes sweeps over hundreds of r values at N ~ 10^4 cheap.
 
 ``squeezed_state(..., method="expm")`` is the independent oracle: scipy's
 ``expm_multiply`` applied to the full banded generator, for cross-checks at
@@ -79,7 +80,6 @@ def leakage(v: StateVector, tail: int) -> float:
 WINDOW_TOL = 1e-14
 # Complex entries in one block of chain_grid's output (16 MB).
 _BLOCK_ENTRIES = 1 << 20
-_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def _chain_eigensystem(n: int, size: int):
@@ -87,33 +87,49 @@ def _chain_eigensystem(n: int, size: int):
 
     The chain visits levels 0, n, 2n, ... < size with coupling
     b_j = sqrt((jn+1)(jn+2)...(jn+n)); after a diagonal gauge it is the
-    real symmetric tridiagonal matrix with zero diagonal and off-diagonal b.
-    Its spectrum is symmetric about 0 and the squared overlaps of |0> with
-    the eigenvectors (the Gauss weights of this Jacobi matrix) are negligible
-    away from the smallest |lambda|, so bisection computes only the 2k
-    eigenpairs centred on index L // 2.  k doubles from 32 until the
-    discarded weight |e0 - V V^T e0| is at most WINDOW_TOL; a window that
-    would cover the chain becomes the full eigensolve.
+    real symmetric tridiagonal matrix T with zero diagonal and off-diagonal b.
+    With S = diag((-1)^j), S T S = -T, so eigenpairs come in exact pairs
+    (lambda, v) and (-lambda, S v), and only the lambda > 0 half is solved
+    for.  The pair's projection of |0> is v_0 (v + S v) = 2 v_0 v on even
+    sites and exactly 0 on odd sites.  An odd-length chain also has the
+    eigenvalue 0, whose vector is built in closed form: zero on odd sites,
+    z_{2m+2} = -z_{2m} b_{2m} / b_{2m+1} on even sites.
 
-    Returns (eigenvalues, eigenvectors as columns, their first row, discarded).
+    The squared overlaps of |0> with the eigenvectors (the Gauss weights of
+    this Jacobi matrix) are negligible away from the smallest |lambda|, so
+    bisection and inverse iteration compute only the k smallest positive
+    eigenpairs.  k doubles from 32 until the discarded weight
+    |e0 - sum_i w_i v_i| (even sites only) is at most WINDOW_TOL, or until
+    the window covers every positive eigenvalue.
+
+    Returns (eigenvalues, eigenvectors as C-ordered columns, their weights
+    w = 2 v_0, or z_0 for the zero mode, discarded).
     """
     b = _ladder_products(n, range(0, size - n, n))
-    diag = np.zeros(len(b) + 1)
+    length = len(b) + 1
+    diag = np.zeros(length)
+    lo = length - length // 2  # first positive eigenvalue; L // 2 of them
+    if length % 2:
+        zero_mode = np.zeros(length)
+        zero_mode[0] = 1.0
+        zero_mode[2::2] = np.cumprod(-b[0::2] / b[1::2])
+        zero_mode /= np.linalg.norm(zero_mode)
     k = 32
     while True:
-        if 2 * k < len(diag):
-            lo = len(diag) // 2 - k
-            lam, V = eigh_tridiagonal(
-                diag, b, select="i", select_range=(lo, lo + 2 * k - 1),
-                tol=2 * np.finfo(float).tiny,
-            )
-        else:
-            lam, V = eigh_tridiagonal(diag, b)
-        rest = -(V @ V[0])
+        hi = min(lo + k, length) - 1
+        lam, V = eigh_tridiagonal(
+            diag, b, select="i", select_range=(lo, hi), tol=2 * np.finfo(float).tiny,
+        )
+        weights = 2 * V[0]
+        if length % 2:
+            lam = np.append(lam, 0.0)
+            V = np.column_stack([V, zero_mode])
+            weights = np.append(weights, zero_mode[0])
+        rest = -(V[0::2] @ weights)
         rest[0] += 1.0
         discarded = float(np.linalg.norm(rest))
-        if discarded <= WINDOW_TOL or len(lam) == len(diag):
-            return lam, V, V[0], discarded
+        if discarded <= WINDOW_TOL or hi == length - 1:
+            return lam, np.ascontiguousarray(V), weights, discarded
         k *= 2
 
 
@@ -121,9 +137,10 @@ class VacuumSectorPropagator:
     """Exact evolution of exp(r a†^n - r* a^n)|0> on a truncated basis.
 
     Solves the vacuum-sector chain once for the eigenpairs that carry |0>;
-    a whole grid of r then costs one pair of real matrix products of
-    size L x 2k by 2k x len(grid), with L ~ N/n the chain length.
-    `discarded` bounds the norm of the error of every evolved state.
+    a whole grid of r then costs two real matrix products, even sites by
+    cosines and odd sites by sines, of size L/2 x k by k x len(grid), with
+    L ~ N/n the chain length.  `discarded` bounds the norm of the error of
+    every evolved state.
     """
 
     def __init__(self, n: int, dim: FockDim):
@@ -131,7 +148,7 @@ class VacuumSectorPropagator:
             raise ValueError(f"truncation {dim.size} must exceed squeezing order {n}")
         self.n = n
         self.dim = dim
-        self.eigvals, self.eigvecs, self._first_row, self.discarded = _chain_eigensystem(n, dim.size)
+        self.eigvals, self.eigvecs, self._weights, self.discarded = _chain_eigensystem(n, dim.size)
         self.levels = n * np.arange(len(self.eigvecs))
 
     def chain_grid(self, r_values) -> np.ndarray:
@@ -142,16 +159,17 @@ class VacuumSectorPropagator:
         r = np.asarray(r_values, dtype=complex).reshape(-1)
         mag = np.abs(r)
         j = np.arange(len(self.eigvecs))
+        # exp(-i T |r|) e0 is real on even sites and -i times real on odd sites;
+        # with the gauge phase (i e^{i arg r})^j that leaves (-1)^(j//2) e^{ij arg r}
+        sign = 1.0 - 2.0 * (j // 2 % 2)
         out = np.empty((len(j), len(r)), dtype=complex)
         block = max(1, _BLOCK_ENTRIES // len(j))
         for start in range(0, len(r), block):
             cols = slice(start, start + block)
-            # exp(-i lambda |r|) in the eigenbasis, then the gauge phase (i e^{i arg r})^j
-            angles = np.outer(-self.eigvals, mag[cols])
-            chunk = out[:, cols]
-            chunk.real = self.eigvecs @ (np.cos(angles) * self._first_row[:, None])
-            chunk.imag = self.eigvecs @ (np.sin(angles) * self._first_row[:, None])
-            chunk *= _I_POWERS[j % 4, None] * np.exp(1j * np.outer(j, np.angle(r[cols])))
+            angles = np.outer(self.eigvals, mag[cols])
+            out[0::2, cols] = self.eigvecs[0::2] @ (np.cos(angles) * self._weights[:, None])
+            out[1::2, cols] = self.eigvecs[1::2] @ (np.sin(angles) * self._weights[:, None])
+            out[:, cols] *= sign[:, None] * np.exp(1j * np.outer(j, np.angle(r[cols])))
         out[:, mag == 0] = np.eye(len(j), 1)  # the exact vacuum
         return out
 
@@ -300,18 +318,18 @@ def second_derivative_check(
     return fd, analytic
 
 
-def converged_region(
+def certify_truncation_pair(
     n: int,
     N_pair: tuple[int, int],
     r_grid,
     leak_tol: float = DEFAULT_LEAK_TOL,
     agree_tol: float = 1e-8,
-) -> float:
-    """Largest grid r below which both truncations agree and neither leaks.
+) -> tuple[float, np.ndarray]:
+    """Largest certified grid r, and the mean photon number at N_pair[0] on the sorted grid.
 
     Certifies every grid point r' <= r: leakage below `leak_tol` at both
     truncations and relative mean-photon difference below `agree_tol`.
-    Returns 0.0 if no grid point qualifies.
+    The radius is 0.0 if no grid point qualifies.
     """
     N_a, N_b = N_pair
     if N_a == N_b:
@@ -327,4 +345,18 @@ def converged_region(
         if r > 0 and abs(pa - pb) / scale > agree_tol:
             break
         best = r
-    return best
+    return best, photons_a
+
+
+def converged_region(
+    n: int,
+    N_pair: tuple[int, int],
+    r_grid,
+    leak_tol: float = DEFAULT_LEAK_TOL,
+    agree_tol: float = 1e-8,
+) -> float:
+    """Largest grid r below which both truncations agree and neither leaks.
+
+    See :func:`certify_truncation_pair`; returns 0.0 if no grid point qualifies.
+    """
+    return certify_truncation_pair(n, N_pair, r_grid, leak_tol, agree_tol)[0]

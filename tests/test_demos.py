@@ -1,0 +1,27 @@
+import runpy
+from pathlib import Path
+
+import pytest
+
+from squeezelab.algebra import CoefficientSeries
+from squeezelab.evolve import SweepResult
+from squeezelab.series import ComparisonTable
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("script,outputs", [
+    # file name -> (header, data rows)
+    ("truncation_sweep.py", {"sweep_n3.csv": (SweepResult.CSV_HEADER, 402)}),
+    ("coefficient_growth.py", {
+        "coeffs_n3.csv": (CoefficientSeries.CSV_HEADER, 20),
+        "compare_n3.csv": (ComparisonTable.CSV_HEADER, 61),
+    }),
+])
+def test_demo_writes_its_csv_files(script, outputs, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / script), run_name="__main__")
+    for name, (header, rows) in outputs.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == rows + 1

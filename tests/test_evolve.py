@@ -133,19 +133,61 @@ def test_chain_grid_columns_are_chain_amplitudes():
     assert np.array_equal(grid[:, 0], vacuum)
 
 
+@pytest.mark.parametrize("n,size", [
+    (1, 2), (3, 4),  # L = 2
+    (1, 3), (4, 9),  # L = 3
+    (2, 400), (2, 401), (3, 3000), (3, 3001),
+])
+def test_chain_grid_matches_full_eigensolve_even_and_odd_length(n, size):
+    # small chains are covered by the first window; odd lengths use the closed-form zero mode
+    r_values = [0.0, 0.3, -0.2, 0.1 + 0.25j, 0.5j]
+    grid = VacuumSectorPropagator(n, FockDim(size)).chain_grid(r_values)
+    reference = full_chain_reconstruction(n, size, r_values)
+    assert np.linalg.norm(grid - reference, axis=0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,size", [(1, 11), (1, 2001), (2, 1001), (3, 6001), (4, 24001)])
+def test_zero_mode_matches_lapack(n, size):
+    prop = VacuumSectorPropagator(n, FockDim(size))
+    length = len(prop.levels)
+    assert length % 2 == 1 and prop.eigvals[-1] == 0.0
+    b = _ladder_products(n, range(0, size - n, n))
+    _, lapack = eigh_tridiagonal(
+        np.zeros(length), b, select="i", select_range=(length // 2, length // 2),
+        tol=2 * np.finfo(float).tiny,
+    )
+    lapack = lapack[:, 0] * np.sign(lapack[0, 0])
+    zero_mode = prop.eigvecs[:, -1]
+    assert np.all(zero_mode[1::2] == 0.0)
+    assert np.abs(zero_mode * np.sign(zero_mode[0]) - lapack).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n,size", [(1, 40), (2, 101), (3, 64), (4, 97)])
+def test_full_eigensolve_pairs_lambda_with_minus_lambda(n, size):
+    # S T S = -T for S = diag((-1)^j), so S v is the eigenvector for -lambda
+    b = _ladder_products(n, range(0, size - n, n))
+    lam, V = eigh_tridiagonal(np.zeros(len(b) + 1), b)
+    S = (-1.0) ** np.arange(len(lam))
+    assert np.abs(lam + lam[::-1]).max() <= 1e-12 * np.abs(lam).max()
+    for v, u in zip(V.T, V.T[::-1]):
+        partner = S * v
+        assert min(np.linalg.norm(partner - u), np.linalg.norm(partner + u)) <= 1e-12
+
+
 @pytest.mark.parametrize("n,size", [(3, 6000), (4, 24000)])
 def test_window_keeps_few_eigenpairs_at_large_truncation(n, size):
     prop = VacuumSectorPropagator(n, FockDim(size))
-    assert prop.eigvecs.shape[1] <= 128 < prop.eigvecs.shape[0]
+    assert prop.eigvecs.shape[1] == 32 < prop.eigvecs.shape[0]
     assert prop.discarded <= 1e-14
 
 
 def test_window_doubles_and_falls_back_to_full_chain():
     wide = VacuumSectorPropagator(1, FockDim(2000))
-    assert 128 < wide.eigvecs.shape[1] < wide.eigvecs.shape[0]
+    assert wide.eigvecs.shape == (2000, 256)
     assert wide.discarded <= 1e-14
+    # a window that reaches the top of the spectrum keeps every positive eigenvalue
     full = VacuumSectorPropagator(3, FockDim(64))
-    assert full.eigvecs.shape == (22, 22)
+    assert full.eigvecs.shape == (22, 11)
     assert full.discarded <= 1e-14
 
 
