@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra, evolve, series
-from .fock import FockDim, SqueezeParams, a_n_commutator_closed_form, commutator_diagonal_value
+from .fock import FockDim, SqueezeParams, commutator_diagonal_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1

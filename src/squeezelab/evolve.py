@@ -4,10 +4,12 @@ Vacuum evolution has one representation, :class:`VacuumSectorPropagator`.
 The generator couples Fock levels in steps of n, so acting on |0> it
 reduces exactly to a real symmetric tridiagonal chain over levels
 0, n, 2n, ...  Its eigenpairs come in pairs (lambda, v), (-lambda, S v) with
-S = diag((-1)^j), so only the few dozen lambda >= 0 eigenpairs that overlap
-|0> are computed, once per (n, N).  A whole grid of r is then two real
-matrix products, cosines for the even sites and sines for the odd ones.
-This is what makes sweeps over hundreds of r values at N ~ 10^4 cheap.
+S = diag((-1)^j), so only the lambda >= 0 eigenpairs that overlap |0> are
+computed, once per (n, N), by a numpy-only shift-invert Lanczos iteration
+on the even-site block of the squared chain.  A whole grid of r is then two
+real matrix products, cosines for the even sites and sines for the odd
+ones.  This is what makes sweeps over hundreds of r values at N ~ 10^4
+cheap, and it keeps scipy out of every sweep.
 
 ``squeezed_state(..., method="expm")`` is the independent oracle: scipy's
 ``expm_multiply`` applied to the full banded generator, for cross-checks at
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fock import (
     FockDim,
@@ -75,11 +76,58 @@ def leakage(v: StateVector, tail: int) -> float:
     return float(np.sum(np.abs(v.amplitudes[v.dim.size - tail:]) ** 2))
 
 
-# Bound on |e0 - V V^T e0|, the norm of the part of |0> outside the kept
-# eigenvectors, which bounds the error of every evolved state.
+# Stop growing the Krylov basis once eta, the largest coefficient that any
+# function |g| <= 1 of the Lanczos matrix puts on the newest basis vector,
+# is at most this.
 WINDOW_TOL = 1e-14
 # Complex entries in one block of chain_grid's output (16 MB).
 _BLOCK_ENTRIES = 1 << 20
+
+
+def _forward_solver(diag: np.ndarray, sub: np.ndarray):
+    """Solver for the lower bidiagonal system diag[k] u[k] + sub[k-1] u[k-1] = x[k].
+
+    The recurrence is unrolled into a cumulative product and a cumulative
+    sum, so one solve (of a vector, or of every column of a matrix) is a few
+    vector operations.  The running product of -sub[k-1] / diag[k] must stay
+    in floating-point range.  For the chain's systems it moves by at most a
+    power of the chain length, except for n = 1, where it falls like
+    exp(-sqrt(N)) and leaves the range near N = 5 10^5.
+    """
+    scale = np.cumprod(np.concatenate(([1.0], -sub / diag[1:])))
+    with np.errstate(divide="ignore", over="ignore"):
+        inverse = 1.0 / (diag * scale)
+    if not np.isfinite(inverse).all():
+        raise ValueError(f"a {len(diag)}-site bidiagonal solve leaves floating-point range")
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        shape = (-1,) + (1,) * (x.ndim - 1)
+        return scale.reshape(shape) * np.cumsum(x * inverse.reshape(shape), axis=0)
+
+    return solve
+
+
+def _shifted_inverse(d: np.ndarray, s: np.ndarray, size: int, shift: float):
+    """x -> (B B^T + shift)^{-1} x for the size x len(d) lower bidiagonal B = (d, s).
+
+    B B^T + shift = C C^T with C lower bidiagonal.  Its pivots are written
+    c_k^2 = d_k^2 + g_k (d_k = 0 past the end of d) with
+    g_k = shift + s_{k-1}^2 g_{k-1} / c_{k-1}^2, a sum of positive terms, so
+    they keep full relative accuracy where the textbook recurrence cancels.
+    """
+    d2 = np.zeros(size)
+    d2[:len(d)] = d * d
+    pivots = np.empty(size)
+    g = shift
+    pivots[0] = d2[0] + g
+    for k in range(1, size):
+        g = shift + s[k - 1] ** 2 * g / pivots[k - 1]
+        pivots[k] = d2[k] + g
+    c = np.sqrt(pivots)
+    sub = s[:size - 1] * d[:size - 1] / c[:-1]  # C[k, k-1]
+    lower = _forward_solver(c, sub)
+    upper = _forward_solver(c[::-1], sub[::-1])  # C^T, solved from the last row
+    return lambda x: upper(lower(x)[::-1])[::-1]
 
 
 def _chain_eigensystem(n: int, size: int):
@@ -95,42 +143,80 @@ def _chain_eigensystem(n: int, size: int):
     eigenvalue 0, whose vector is built in closed form: zero on odd sites,
     z_{2m+2} = -z_{2m} b_{2m} / b_{2m+1} on even sites.
 
-    The squared overlaps of |0> with the eigenvectors (the Gauss weights of
-    this Jacobi matrix) are negligible away from the smallest |lambda|, so
-    bisection and inverse iteration compute only the k smallest positive
-    eigenpairs.  k doubles from 32 until the discarded weight
-    |e0 - sum_i w_i v_i| (even sites only) is at most WINDOW_TOL, or until
-    the window covers every positive eigenvalue.
+    T couples even sites only to odd ones, through the lower bidiagonal B
+    with B[m, m] = b_{2m} and B[m, m-1] = b_{2m-1}, so its even-site block
+    of T^2 is M = B B^T with eigenvalues lambda^2.  The squared overlaps of
+    |0> with the eigenvectors (the Gauss weights of this Jacobi matrix) are
+    negligible away from the smallest |lambda|, which shift-invert Lanczos
+    on (M + sigma)^{-1} from e0 finds first (van den Eshof & Hochbruck,
+    SIAM J. Sci. Comput. 27, 1438, 2006).  sigma = b_0^2 = <0|M|0> keeps
+    ||(M + sigma)^{-1}|| <= 1 / sigma, so the rounding of each solve does
+    not grow with 1 / lambda_min^2.  The basis is fully reorthogonalised
+    (against z too) and doubles from 32 vectors until
+    eta = sum_i |S_0i S_{m-1,i}| over the eigenvectors S of the Lanczos
+    matrix is at most WINDOW_TOL, or until it spans the space.  Every Ritz
+    pair is kept.  Each Ritz vector y gives the odd sites x = lambda B^+ y
+    and lambda = 1 / |B^+ y| by one forward B solve, which damps the
+    rounding in y where B^T y / lambda would amplify it.
 
     Returns (eigenvalues, eigenvectors as C-ordered columns, their weights
-    w = 2 v_0, or z_0 for the zero mode, discarded).
+    w = 2 v_0, or z_0 for the zero mode, discarded = eta, or 0 once the
+    basis spans the space).
     """
     b = _ladder_products(n, range(0, size - n, n))
     length = len(b) + 1
-    diag = np.zeros(length)
-    lo = length - length // 2  # first positive eigenvalue; L // 2 of them
-    if length % 2:
-        zero_mode = np.zeros(length)
+    n_even, n_odd = length - length // 2, length // 2
+    d, s = b[0::2], b[1::2]  # B[m, m] = d[m], B[m, m-1] = s[m-1]
+    shift_invert = _shifted_inverse(d, s, n_even, b[0] ** 2)
+    locked = length % 2  # an odd chain's zero mode z leads the basis
+    if locked:
+        zero_mode = np.zeros(n_even)
         zero_mode[0] = 1.0
-        zero_mode[2::2] = np.cumprod(-b[0::2] / b[1::2])
+        zero_mode[1:] = np.cumprod(-d / s)
         zero_mode /= np.linalg.norm(zero_mode)
-    k = 32
+        # e0 - z_0 z, normalised; 1 - z_0^2 summed over the other sites, where it does not cancel
+        rest = np.sqrt(np.sum(zero_mode[1:] ** 2))
+        start = -zero_mode[0] / rest * zero_mode
+        start[0] = rest
+        basis = np.array([zero_mode, start])  # so reorthogonalising removes z
+    else:
+        basis = np.eye(1, n_even)
+    dim = n_even - locked
+    alpha, beta = [], []
+    m = min(32, dim)
     while True:
-        hi = min(lo + k, length) - 1
-        lam, V = eigh_tridiagonal(
-            diag, b, select="i", select_range=(lo, hi), tol=2 * np.finfo(float).tiny,
-        )
-        weights = 2 * V[0]
-        if length % 2:
-            lam = np.append(lam, 0.0)
-            V = np.column_stack([V, zero_mode])
-            weights = np.append(weights, zero_mode[0])
-        rest = -(V[0::2] @ weights)
-        rest[0] += 1.0
-        discarded = float(np.linalg.norm(rest))
-        if discarded <= WINDOW_TOL or hi == length - 1:
-            return lam, np.ascontiguousarray(V), weights, discarded
-        k *= 2
+        basis = np.concatenate([basis, np.empty((m - len(alpha), n_even))])
+        for k in range(len(alpha), m):
+            row = locked + k
+            w = shift_invert(basis[row])
+            alpha.append(basis[row] @ w)
+            for _ in range(2):  # one Gram-Schmidt pass loses orthogonality here
+                w -= basis[:row + 1].T @ (basis[:row + 1] @ w)
+            if k + 1 < dim:
+                beta.append(np.linalg.norm(w))
+                basis[row + 1] = w / beta[-1]
+        lanczos = np.diag(alpha) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
+        S = np.linalg.eigh(lanczos)[1]
+        eta = float(np.abs(S[0] * S[-1]).sum())
+        if eta <= WINDOW_TOL or m == dim:
+            break
+        m = min(2 * m, dim)
+    V = np.empty((length, m + locked))
+    # Ritz vectors y on the even sites, largest Ritz value (smallest lambda) first
+    V[0::2, :m] = basis[locked:locked + m].T @ S[:, ::-1]
+    del basis
+    V[1::2, :m] = _forward_solver(d, s[:n_odd - 1])(V[0:2 * n_odd:2, :m])
+    inv_lam = np.linalg.norm(V[1::2, :m], axis=0)
+    V[1::2, :m] /= inv_lam
+    V[:, :m] *= np.sqrt(0.5)
+    lam = 1.0 / inv_lam
+    weights = 2 * V[0, :m]
+    if locked:
+        V[0::2, m] = zero_mode
+        V[1::2, m] = 0.0
+        lam = np.append(lam, 0.0)
+        weights = np.append(weights, zero_mode[0])
+    return lam, V, weights, 0.0 if m == dim else eta
 
 
 class VacuumSectorPropagator:
@@ -139,8 +225,8 @@ class VacuumSectorPropagator:
     Solves the vacuum-sector chain once for the eigenpairs that carry |0>;
     a whole grid of r then costs two real matrix products, even sites by
     cosines and odd sites by sines, of size L/2 x k by k x len(grid), with
-    L ~ N/n the chain length.  `discarded` bounds the norm of the error of
-    every evolved state.
+    L ~ N/n the chain length.  `discarded` is the Lanczos estimate eta of
+    :func:`_chain_eigensystem`, 0 when the basis spans the chain.
     """
 
     def __init__(self, n: int, dim: FockDim):
@@ -169,7 +255,11 @@ class VacuumSectorPropagator:
             angles = np.outer(self.eigvals, mag[cols])
             out[0::2, cols] = self.eigvecs[0::2] @ (np.cos(angles) * self._weights[:, None])
             out[1::2, cols] = self.eigvecs[1::2] @ (np.sin(angles) * self._weights[:, None])
-            out[:, cols] *= sign[:, None] * np.exp(1j * np.outer(j, np.angle(r[cols])))
+            out[:, cols] *= sign[:, None]
+            # the phase is exactly 1 for arg r = 0, the real grids that sweeps use
+            phase = np.angle(r[cols])
+            twisted = phase != 0
+            out[:, cols][:, twisted] *= np.exp(1j * np.outer(j, phase[twisted]))
         out[:, mag == 0] = np.eye(len(j), 1)  # the exact vacuum
         return out
 

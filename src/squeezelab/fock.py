@@ -5,6 +5,10 @@ which lives on the +/-n off-diagonals, and the commutator [a^n, a†^n],
 which is diagonal in the number basis.  Matrix elements are square roots
 of exact integer products, so no floating-point drift accumulates in the
 sqrt((k+1)...(k+n)) factors even at large N.
+
+scipy.sparse is imported only where an operator is built: the chain
+propagator needs just the couplings, and the CLI's sweep and compare then
+never load scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,8 @@ class SparseOperator:
     """
 
     def __init__(self, dim: FockDim, matrix):
+        from scipy import sparse
+
         mat = sparse.csr_array(matrix, dtype=complex)
         if mat.shape != (dim.size, dim.size):
             raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim.size}")
@@ -86,6 +91,8 @@ def _ladder_products(n: int, ks) -> np.ndarray:
 
 def generator(params: SqueezeParams, dim: FockDim) -> SparseOperator:
     """The anti-Hermitian exponent K = r a†^n - r* a^n of U_n(r)."""
+    from scipy import sparse
+
     if dim.size <= params.n:
         raise ValueError(
             f"truncation {dim.size} must exceed squeezing order {params.n}"
@@ -120,6 +127,8 @@ def commutator_diagonal_value(n: int, m: int) -> int:
 
 def a_n_commutator_closed_form(n: int, dim: FockDim) -> SparseOperator:
     """[a^n, a†^n] as a diagonal operator, from the exact closed form."""
+    from scipy import sparse
+
     diag = np.array(
         [commutator_diagonal_value(n, m) for m in range(dim.size)], dtype=float
     )

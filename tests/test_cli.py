@@ -1,9 +1,15 @@
+import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import squeezelab
 from squeezelab.cli import EXIT_OK, EXIT_USAGE, main, parse_n_list, parse_r_grid, UsageError
 
 
@@ -193,3 +199,37 @@ def test_compare_requires_truncation_pair(capsys):
     code, _, err = run(capsys, "compare", "--N", "100,200,300", "--r", "0:0.01:0.01")
     assert code == EXIT_USAGE
     assert "usage error" in err
+
+
+SCIPY_PROBE = """
+import sys
+from squeezelab.cli import main
+for argv in {runs!r}:
+    assert main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def scipy_modules_after(tmp_path, *runs):
+    """Names of the scipy modules loaded by a fresh interpreter that runs the CLI calls `runs`."""
+    path = [str(Path(squeezelab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE.format(runs=list(runs))],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return ast.literal_eval(done.stdout.strip().splitlines()[-1])
+
+
+def test_sweep_and_compare_never_import_scipy(tmp_path):
+    # loading scipy is most of a CLI start; only the expm oracle and SparseOperator need it
+    assert scipy_modules_after(
+        tmp_path,
+        ["sweep", "--n", "3", "--r", "0:0.1:0.05", "--N", "200,201", "--out", "sweep.csv"],
+        ["compare", "--n", "3", "--r", "0:0.1:0.05", "--N", "200,201", "--M", "4",
+         "--out", "compare.csv", "--summary-out", "summary.json"],
+    ) == []
+
+
+def test_verify_norm_check_loads_scipy(tmp_path):
+    assert "scipy.sparse" in scipy_modules_after(tmp_path, ["verify", "--check", "norm"])

@@ -137,9 +137,11 @@ def test_chain_grid_columns_are_chain_amplitudes():
     (1, 2), (3, 4),  # L = 2
     (1, 3), (4, 9),  # L = 3
     (2, 400), (2, 401), (3, 3000), (3, 3001),
+    (2, 1001), (1, 2000), (1, 2001),  # n = 1 needs the widest Krylov basis
+    (3, 6000), (3, 6001), (4, 24000), (4, 24001),  # the benchmark's chains
 ])
 def test_chain_grid_matches_full_eigensolve_even_and_odd_length(n, size):
-    # small chains are covered by the first window; odd lengths use the closed-form zero mode
+    # small chains are spanned by the first basis; odd lengths use the closed-form zero mode
     r_values = [0.0, 0.3, -0.2, 0.1 + 0.25j, 0.5j]
     grid = VacuumSectorPropagator(n, FockDim(size)).chain_grid(r_values)
     reference = full_chain_reconstruction(n, size, r_values)
@@ -182,13 +184,20 @@ def test_window_keeps_few_eigenpairs_at_large_truncation(n, size):
 
 
 def test_window_doubles_and_falls_back_to_full_chain():
+    # n = 1 spreads |0> over the most eigenvalues: the Krylov basis doubles 32 -> 256
     wide = VacuumSectorPropagator(1, FockDim(2000))
     assert wide.eigvecs.shape == (2000, 256)
     assert wide.discarded <= 1e-14
-    # a window that reaches the top of the spectrum keeps every positive eigenvalue
+    # a basis that spans the chain keeps every positive eigenvalue and leaves nothing out
     full = VacuumSectorPropagator(3, FockDim(64))
     assert full.eigvecs.shape == (22, 11)
-    assert full.discarded <= 1e-14
+    assert full.discarded == 0.0
+
+
+def test_chain_too_long_for_the_unrolled_solve_is_refused():
+    # at n = 1 the Cholesky recurrence's running product falls like exp(-sqrt(N))
+    with pytest.raises(ValueError, match="floating-point range"):
+        VacuumSectorPropagator(1, FockDim(600_000))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
