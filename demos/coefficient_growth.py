@@ -8,14 +8,15 @@ disagree with the partial sum. Writes coeffs_n3.csv and compare_n3.csv.
 
 import numpy as np
 
-from squeezelab import coefficients, compare_taylor_numeric, fit_exponential, root_test_sequence
+from squeezelab import coefficients, compare_taylor_numeric, fit_exponential
 
 for n, M in ((3, 20), (4, 10)):
     series = coefficients(n, M)
     fit = fit_exponential(series)
     print(f"n={n}: growth rate alpha = {fit.alpha:.4f} +- {fit.alpha_stderr:.4f}, "
           f"radius = {fit.radius:.4f}")
-    last_m, last_root = root_test_sequence(series)[-1]
+    last_m, last_c = series.entries[-1]
+    last_root = float(last_c) ** (1 / last_m)
     print(f"      root test |c_m|^(1/m) at m={last_m}: {last_root:.4f} "
           f"(fit predicts {np.exp(fit.alpha):.4f})")
 

@@ -23,9 +23,10 @@ print(f"wrote sweep_n3.csv ({len(result.rows)} rows)")
 r_ok = converged_region(n, N_pair, r_grid)
 print(f"certified converged region: r <= {r_ok}")
 
-prop_a = VacuumSectorPropagator(n, FockDim(N_pair[0]))
-prop_b = VacuumSectorPropagator(n, FockDim(N_pair[1]))
-for r in (0.05, 0.1, 0.3, 0.6, 1.0):
-    pa, pb = prop_a.mean_photon(r), prop_b.mean_photon(r)
+r_probe = [0.05, 0.1, 0.3, 0.6, 1.0]
+photons_a, photons_b = (
+    VacuumSectorPropagator(n, FockDim(N)).grid_diagnostics(r_probe)[0] for N in N_pair
+)
+for r, pa, pb in zip(r_probe, photons_a, photons_b):
     tag = "agree" if abs(pa - pb) <= 1e-6 * max(pa, 1) else "DIVERGED"
     print(f"r = {r:4.2f}: N={N_pair[0]} gives {pa:12.6f}, N={N_pair[1]} gives {pb:12.6f}  [{tag}]")

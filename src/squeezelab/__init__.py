@@ -2,7 +2,6 @@
 
 from .fock import (
     FockDim,
-    SparseOperator,
     SqueezeParams,
     a_n_commutator_closed_form,
     commutator_diagonal_value,
@@ -16,7 +15,6 @@ from .evolve import (
     VacuumSectorPropagator,
     converged_region,
     expectation_diagonal,
-    leakage,
     mean_photon,
     second_derivative_check,
     squeezed_state,
@@ -29,7 +27,6 @@ from .algebra import (
     coefficients,
     commutator,
     multiply,
-    nested_commutator,
     taylor_partial_sum,
     vacuum_expectation,
     verify_closed_form,
@@ -39,7 +36,6 @@ from .series import (
     FitResult,
     compare_taylor_numeric,
     fit_exponential,
-    root_test_sequence,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,7 +1,8 @@
 """Command-line front end emitting plot-ready CSV/JSON.
 
 Subcommands: sweep, coeffs, fit, verify, compare.  Exit codes:
-0 success, 1 usage error, 2 failed verify check, 3 resource budget exceeded.
+0 success, 1 usage error, 2 failed verify check, 3 resource budget exceeded
+(--M above algebra.MAX_M, or 2 n M above algebra.MAX_LEVEL).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    series_ = algebra.coefficients(args.n, args.M, max_degree=args.max_degree)
+    series_ = algebra.coefficients(args.n, args.M)
     _write(args.out, series_.to_csv())
     return EXIT_OK
 
@@ -93,7 +94,7 @@ def cmd_fit(args) -> int:
     if args.coeffs:
         series_ = read_coefficient_csv(args.coeffs)
     else:
-        series_ = algebra.coefficients(args.n, args.M, max_degree=args.max_degree)
+        series_ = algebra.coefficients(args.n, args.M)
     try:
         fit = series.fit_exponential(series_, last_points=args.last_points)
     except ValueError as exc:
@@ -227,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="exact Taylor coefficients of <a†a>")
     common(p, grid=False)
     p.add_argument("--M", type=int, default=20, help="number of non-zero coefficients")
-    p.add_argument("--max-degree", type=int, default=algebra.DEFAULT_MAX_DEGREE)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("fit", help="log-linear growth fit and convergence radius")
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=20)
     p.add_argument("--last-points", type=int, default=5)
     p.add_argument("--coeffs", default=None, help="read coefficients from CSV")
-    p.add_argument("--max-degree", type=int, default=algebra.DEFAULT_MAX_DEGREE)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", help="run the invariant suite")

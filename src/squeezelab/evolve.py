@@ -24,7 +24,6 @@ import numpy as np
 
 from .fock import (
     FockDim,
-    SparseOperator,
     SqueezeParams,
     _ladder_products,
     a_n_commutator_closed_form,
@@ -62,18 +61,10 @@ def mean_photon(v: StateVector) -> float:
     return float(np.arange(v.dim.size) @ probs)
 
 
-def expectation_diagonal(op: SparseOperator, v: StateVector) -> float:
-    """Expectation value of a number-basis-diagonal operator."""
-    diag = op.diagonal()
+def expectation_diagonal(diag: np.ndarray, v: StateVector) -> float:
+    """Expectation value of the number-basis-diagonal operator with diagonal `diag`."""
     probs = np.abs(v.amplitudes) ** 2
-    return float(np.real(diag) @ probs)
-
-
-def leakage(v: StateVector, tail: int) -> float:
-    """Probability weight in the top `tail` Fock levels (truncation-error proxy)."""
-    if not 1 <= tail < v.dim.size:
-        raise ValueError(f"tail must be in [1, {v.dim.size - 1}], got {tail}")
-    return float(np.sum(np.abs(v.amplitudes[v.dim.size - tail:]) ** 2))
+    return float(diag @ probs)
 
 
 # Stop growing the Krylov basis once eta, the largest coefficient that any
@@ -263,10 +254,6 @@ class VacuumSectorPropagator:
         out[:, mag == 0] = np.eye(len(j), 1)  # the exact vacuum
         return out
 
-    def chain_amplitudes(self, r: complex) -> np.ndarray:
-        """Amplitudes on levels 0, n, 2n, ...; all other levels are exactly zero."""
-        return self.chain_grid([r])[:, 0]
-
     def grid_diagnostics(self, r_values, tail: int | None = None) -> tuple[np.ndarray, ...]:
         """Mean photon number, leakage and norm error at every r in `r_values`.
 
@@ -281,15 +268,6 @@ class VacuumSectorPropagator:
         norm_error = np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)
         return mean, leak, norm_error
 
-    def state(self, r: complex) -> StateVector:
-        amps = np.zeros(self.dim.size, dtype=complex)
-        amps[self.levels] = self.chain_amplitudes(r)
-        return StateVector(self.dim, amps)
-
-    def mean_photon(self, r: complex) -> float:
-        chain = self.chain_amplitudes(r)
-        return float(self.levels @ (np.abs(chain) ** 2))
-
 
 def squeezed_state(params: SqueezeParams, dim: FockDim, method: str = "chain") -> StateVector:
     """|r_n> = exp(r a†^n - r* a^n)|0> on the truncated basis.
@@ -300,7 +278,10 @@ def squeezed_state(params: SqueezeParams, dim: FockDim, method: str = "chain") -
     independent oracle for the chain.
     """
     if method == "chain":
-        return VacuumSectorPropagator(params.n, dim).state(params.r)
+        prop = VacuumSectorPropagator(params.n, dim)
+        amps = np.zeros(dim.size, dtype=complex)
+        amps[prop.levels] = prop.chain_grid([params.r])[:, 0]
+        return StateVector(dim, amps)
     if method == "expm":
         # imported here: loading scipy.sparse.linalg would add ~0.03 s to every CLI start
         from scipy.sparse.linalg import expm_multiply
@@ -309,7 +290,7 @@ def squeezed_state(params: SqueezeParams, dim: FockDim, method: str = "chain") -
         if abs(params.r) < np.finfo(float).tiny:
             # exp(K)|0> - |0> < 1e-300; expm_multiply would take 0 steps and divide 0 by 0
             return vacuum
-        return StateVector(dim, expm_multiply(generator(params, dim).matrix, vacuum.amplitudes))
+        return StateVector(dim, expm_multiply(generator(params, dim), vacuum.amplitudes))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -402,10 +383,14 @@ def second_derivative_check(
         if point_leak > leak_tol:
             raise NotConvergedError(f"state at r={point} is not converged at N={dim.size}")
     fd = float(photons[2] - 2 * photons[1] + photons[0]) / h**2
-    analytic = 2 * n * expectation_diagonal(
-        a_n_commutator_closed_form(n, dim), prop.state(r)
-    )
+    probs = np.abs(prop.chain_grid([r])[:, 0]) ** 2
+    analytic = 2 * n * float(a_n_commutator_closed_form(n, dim)[prop.levels] @ probs)
     return fd, analytic
+
+
+def truncation_pair_diagnostics(n: int, N_pair, r_grid) -> list[tuple[np.ndarray, ...]]:
+    """:meth:`VacuumSectorPropagator.grid_diagnostics` of `r_grid` at each N in N_pair."""
+    return [VacuumSectorPropagator(n, FockDim(int(N))).grid_diagnostics(r_grid) for N in N_pair]
 
 
 def certify_truncation_pair(
@@ -421,12 +406,12 @@ def certify_truncation_pair(
     truncations and relative mean-photon difference below `agree_tol`.
     The radius is 0.0 if no grid point qualifies.
     """
-    N_a, N_b = N_pair
-    if N_a == N_b:
+    if N_pair[0] == N_pair[1]:
         raise ValueError("truncation pair must be distinct")
     r_grid = sorted(float(r) for r in r_grid)
-    photons_a, leak_a, _ = VacuumSectorPropagator(n, FockDim(N_a)).grid_diagnostics(r_grid)
-    photons_b, leak_b, _ = VacuumSectorPropagator(n, FockDim(N_b)).grid_diagnostics(r_grid)
+    (photons_a, leak_a, _), (photons_b, leak_b, _) = truncation_pair_diagnostics(
+        n, N_pair, r_grid
+    )
     best = 0.0
     for r, pa, pb, la, lb in zip(r_grid, photons_a, photons_b, leak_a, leak_b):
         if la > leak_tol or lb > leak_tol:

@@ -6,7 +6,7 @@ which is diagonal in the number basis.  Matrix elements are square roots
 of exact integer products, so no floating-point drift accumulates in the
 sqrt((k+1)...(k+n)) factors even at large N.
 
-scipy.sparse is imported only where an operator is built: the chain
+scipy.sparse is imported only where the generator is built: the chain
 propagator needs just the couplings, and the CLI's sweep and compare then
 never load scipy.
 """
@@ -44,42 +44,6 @@ class SqueezeParams:
             raise ValueError("squeezing parameter must be finite")
 
 
-class SparseOperator:
-    """A square banded operator on a truncated Fock basis.
-
-    Thin wrapper over a scipy CSR matrix carrying the Fock dimension and
-    the set of occupied diagonals.
-    """
-
-    def __init__(self, dim: FockDim, matrix):
-        from scipy import sparse
-
-        mat = sparse.csr_array(matrix, dtype=complex)
-        if mat.shape != (dim.size, dim.size):
-            raise ValueError(f"matrix shape {mat.shape} does not match dimension {dim.size}")
-        self.dim = dim
-        self.matrix = mat
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        """Occupied diagonals as col - row offsets, sorted."""
-        coo = self.matrix.tocoo()
-        return tuple(sorted(set((coo.col - coo.row).tolist())))
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    @property
-    def is_diagonal(self) -> bool:
-        off = self.offsets
-        return off == () or off == (0,)
-
-    def diagonal(self) -> np.ndarray:
-        if not self.is_diagonal:
-            raise ValueError("operator is not diagonal in the number basis")
-        return self.matrix.diagonal()
-
-
 def _ladder_products(n: int, ks) -> np.ndarray:
     """sqrt((k+1)(k+2)...(k+n)) for each k in `ks`, via exact integer products.
 
@@ -89,8 +53,8 @@ def _ladder_products(n: int, ks) -> np.ndarray:
     return np.array([math.sqrt(math.prod(range(k + 1, k + n + 1))) for k in ks], dtype=float)
 
 
-def generator(params: SqueezeParams, dim: FockDim) -> SparseOperator:
-    """The anti-Hermitian exponent K = r a†^n - r* a^n of U_n(r)."""
+def generator(params: SqueezeParams, dim: FockDim):
+    """The anti-Hermitian exponent K = r a†^n - r* a^n of U_n(r), as a scipy CSR array."""
     from scipy import sparse
 
     if dim.size <= params.n:
@@ -99,12 +63,13 @@ def generator(params: SqueezeParams, dim: FockDim) -> SparseOperator:
         )
     amps = _ladder_products(params.n, range(dim.size - params.n))
     r = complex(params.r)
-    mat = sparse.diags_array(
+    return sparse.diags_array(
         [r * amps, -np.conj(r) * amps],
         offsets=[-params.n, params.n],
         shape=(dim.size, dim.size),
+        format="csr",
+        dtype=complex,
     )
-    return SparseOperator(dim, mat)
 
 
 def commutator_diagonal_value(n: int, m: int) -> int:
@@ -125,11 +90,6 @@ def commutator_diagonal_value(n: int, m: int) -> int:
     return total
 
 
-def a_n_commutator_closed_form(n: int, dim: FockDim) -> SparseOperator:
-    """[a^n, a†^n] as a diagonal operator, from the exact closed form."""
-    from scipy import sparse
-
-    diag = np.array(
-        [commutator_diagonal_value(n, m) for m in range(dim.size)], dtype=float
-    )
-    return SparseOperator(dim, sparse.diags_array([diag], offsets=[0]))
+def a_n_commutator_closed_form(n: int, dim: FockDim) -> np.ndarray:
+    """Diagonal of [a^n, a†^n] in the number basis, from the exact closed form."""
+    return np.array([commutator_diagonal_value(n, m) for m in range(dim.size)], dtype=float)

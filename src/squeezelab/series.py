@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CoefficientSeries, coefficients, taylor_partial_sum
-from .evolve import VacuumSectorPropagator
-from .fock import FockDim
+from .evolve import truncation_pair_diagnostics
 
 
 def _log_fraction(c) -> float:
@@ -79,17 +78,6 @@ def fit_exponential(series: CoefficientSeries, last_points: int = 5) -> FitResul
         alpha=alpha,
         alpha_stderr=stderr,
     )
-
-
-def root_test_sequence(series: CoefficientSeries) -> list[tuple[int, float]]:
-    """Per-entry |c_m|^(1/m); these approach 1/R when the series has radius R."""
-    out = []
-    for m, c in series.entries:
-        if c == 0:
-            out.append((m, 0.0))
-        else:
-            out.append((m, math.exp(_log_fraction(abs(c)) / m)))
-    return out
 
 
 @dataclass
@@ -159,8 +147,9 @@ def compare_taylor_numeric(
     if series is None:
         series = coefficients(n, M)
     r_grid = [float(r) for r in r_grid]
-    photons_a, leak_a, _ = VacuumSectorPropagator(n, FockDim(N_a)).grid_diagnostics(r_grid)
-    photons_b, leak_b, _ = VacuumSectorPropagator(n, FockDim(N_b)).grid_diagnostics(r_grid)
+    (photons_a, leak_a, _), (photons_b, leak_b, _) = truncation_pair_diagnostics(
+        n, (N_a, N_b), r_grid
+    )
     table = ComparisonTable(n=n, M=M, dims=(N_a, N_b))
     table.fit = fit_exponential(series) if len(series.entries) >= 5 else None
     for r, pa, pb, la, lb in zip(r_grid, photons_a, photons_b, leak_a, leak_b):

@@ -4,18 +4,42 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squeezelab.algebra import (
+    MAX_LEVEL,
+    MAX_M,
     BosonPoly,
     BudgetExceededError,
+    CoefficientSeries,
     coefficients,
     commutator,
     multiply,
-    nested_commutator,
     taylor_partial_sum,
     vacuum_expectation,
     verify_closed_form,
 )
+
+
+def nested_commutator(n, m):
+    """m-fold nested commutator [A, [A, ... [A, a†a]]] with A = a†^n - a^n, in BosonPoly."""
+    A = BosonPoly.raising(n) - BosonPoly.lowering(n)
+    current = BosonPoly.number()
+    for _ in range(m):
+        current = commutator(A, current)
+    return current
+
+
+def commutator_route_entries(n, M):
+    """Reference Taylor data: c_m = <0| [A, a†a]_m |0> / m! for m = 2, 4, ..., 2M."""
+    return [
+        (m, vacuum_expectation(nested_commutator(n, m)) / math.factorial(m))
+        for m in range(2, 2 * M + 1, 2)
+    ]
+
+
+def degree(P):
+    return max((p + q for p, q in P.terms), default=0)
 
 
 def ladder_matrices(size):
@@ -118,10 +142,32 @@ def test_coefficients_are_rational_and_odd_orders_vanish():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        coefficients(4, 20, max_degree=10)
-    with pytest.raises(BudgetExceededError):
-        nested_commutator(4, 30, max_degree=12)
+    # M is capped for every n, also n <= 2, whose commutators never grow in degree
+    for n in range(1, 6):
+        with pytest.raises(BudgetExceededError) as refused:
+            coefficients(n, MAX_M + 1)
+        assert (refused.value.parameter, refused.value.limit) == ("M", MAX_M)
+    assert len(coefficients(2, MAX_M).entries) == MAX_M
+    # the chain of order 2M reaches Fock level 2nM, which sets the integers' size
+    for n, M in ((7, 172), (MAX_LEVEL // 2 + 1, 1)):
+        with pytest.raises(BudgetExceededError) as refused:
+            coefficients(n, M)
+        assert (refused.value.parameter, refused.value.limit) == ("2nM", MAX_LEVEL)
+    n = MAX_LEVEL // 2
+    assert coefficients(n, 1).entries == [(2, n * math.factorial(n))]
+
+
+@pytest.mark.parametrize("n,M", [(3, 20), (4, 10), (2, 30), (1, 10), (5, 8)])
+def test_coefficients_match_commutator_route(n, M):
+    assert coefficients(n, M).entries == commutator_route_entries(n, M)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(n=st.integers(1, 5), M=st.integers(1, 6))
+def test_coefficients_match_commutator_route_property(n, M):
+    series = coefficients(n, M)
+    assert series.n == n
+    assert series.entries == commutator_route_entries(n, M)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -173,7 +219,7 @@ def test_multiplication_matches_matrix_representation():
 @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (4, 2), (4, 3)])
 def test_nested_commutator_matrix_oracle(n, m):
     poly = nested_commutator(n, m)
-    size = poly.degree + 4
+    size = degree(poly) + 4
     a, adag = ladder_matrices(size)
     A = np.linalg.matrix_power(adag, n) - np.linalg.matrix_power(a, n)
     B = np.diag(np.arange(size, dtype=complex))
@@ -181,7 +227,7 @@ def test_nested_commutator_matrix_oracle(n, m):
     for _ in range(m):
         current = A @ current - current @ A
     matrix_from_poly = normal_ordered_matrix(poly, a, adag)
-    safe = size - poly.degree  # truncation-safe block
+    safe = size - degree(poly)  # truncation-safe block
     assert np.allclose(current[:safe, :safe], matrix_from_poly[:safe, :safe],
                        rtol=1e-10, atol=1e-8)
 
@@ -203,6 +249,23 @@ def test_taylor_matches_numeric_inside_radius():
     series = coefficients(3, 20)
     numeric = mean_photon(squeezed_state(SqueezeParams(3, 0.05), FockDim(2000)))
     assert taylor_partial_sum(series, 0.05) == pytest.approx(numeric, abs=1e-6)
+
+
+def test_coefficient_csv_decimal_beyond_double_range():
+    entries = [(2, Fraction(1, 3)), (4, Fraction(12345 * 10**396)), (6, Fraction(1, 3 * 10**400))]
+    rows = CoefficientSeries(n=0, entries=entries).to_csv().strip().split("\n")[1:]
+    assert [row.split(",")[-1] for row in rows] == [
+        "0.33333333333333331", "1.2345e+400", "3.3333333333333333e-401",
+    ]
+    # the largest integers the caps allow still print: n * n! at the top level
+    csv = coefficients(MAX_LEVEL // 2, 1).to_csv()
+    assert len(csv.split("\n")[1].split(",")[2]) > 3000
+
+
+def test_taylor_partial_sum_beyond_double_range():
+    series = CoefficientSeries(n=0, entries=[(2, Fraction(10**400))])
+    assert taylor_partial_sum(series, 1.0) == math.inf
+    assert taylor_partial_sum(series, 1e-200) == pytest.approx(1.0)
 
 
 def test_coefficient_csv_schema():

@@ -4,13 +4,23 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import squeezelab
-from squeezelab.cli import EXIT_OK, EXIT_USAGE, main, parse_n_list, parse_r_grid, UsageError
+from squeezelab.algebra import MAX_LEVEL, MAX_M
+from squeezelab.cli import (
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+    parse_n_list,
+    parse_r_grid,
+    UsageError,
+)
 
 
 def run(capsys, *argv):
@@ -124,9 +134,21 @@ def test_coeffs_quadri_leading(capsys):
 
 
 def test_coeffs_budget_exit_code(capsys):
-    code, _, err = run(capsys, "coeffs", "--n", "4", "--M", "30", "--max-degree", "10")
-    assert code == 3
-    assert "budget" in err
+    # refused before any work: computing M = MAX_M + 1 would take over a second here
+    over = str(MAX_M + 1)
+    for argv, limit in (
+        (("coeffs", "--n", "2", "--M", over), f"M > {MAX_M}"),
+        (("fit", "--n", "3", "--M", over), f"M > {MAX_M}"),
+        (("coeffs", "--n", "7", "--M", "172"), f"2nM > {MAX_LEVEL}"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_BUDGET and out == ""
+        assert f"budget exceeded: {limit}" in err
+    code, out, _ = run(capsys, "coeffs", "--n", "4", "--M", "30")
+    assert code == EXIT_OK
+    assert len(out.strip().split("\n")) == 31
 
 
 def test_fit_defaults_tri_squeezed(tmp_path, capsys):
@@ -222,7 +244,7 @@ def scipy_modules_after(tmp_path, *runs):
 
 
 def test_sweep_and_compare_never_import_scipy(tmp_path):
-    # loading scipy is most of a CLI start; only the expm oracle and SparseOperator need it
+    # loading scipy is most of a CLI start; only the expm oracle and the generator need it
     assert scipy_modules_after(
         tmp_path,
         ["sweep", "--n", "3", "--r", "0:0.1:0.05", "--N", "200,201", "--out", "sweep.csv"],
