@@ -1,6 +1,7 @@
 """Numerics and exact boson algebra for generalized n-photon squeezed states."""
 
 from .fock import (
+    BudgetExceededError,
     FockDim,
     SqueezeParams,
     a_n_commutator_closed_form,
@@ -14,7 +15,6 @@ from .evolve import (
     SweepRow,
     VacuumSectorPropagator,
     converged_region,
-    expectation_diagonal,
     mean_photon,
     second_derivative_check,
     squeezed_state,
@@ -22,13 +22,11 @@ from .evolve import (
 )
 from .algebra import (
     BosonPoly,
-    BudgetExceededError,
     CoefficientSeries,
     coefficients,
     commutator,
     multiply,
     taylor_partial_sum,
-    vacuum_expectation,
     verify_closed_form,
 )
 from .series import (

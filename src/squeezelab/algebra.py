@@ -33,7 +33,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
 
-from .fock import commutator_diagonal_value
+from .fock import BudgetExceededError, commutator_diagonal_value
 
 # coefficients(n, M) refuses M > MAX_M and 2nM > MAX_LEVEL, the highest Fock
 # level its chain reaches.  Run time grows like M^4 and the integers' size with
@@ -41,15 +41,6 @@ from .fock import commutator_diagonal_value
 # and 58 MB, and every numerator stays under 3200 digits, inside str()'s limit.
 MAX_M = 200
 MAX_LEVEL = 2400
-
-
-class BudgetExceededError(RuntimeError):
-    """A request exceeded a resource cap."""
-
-    def __init__(self, parameter: str, limit):
-        super().__init__(f"resource budget exceeded: {parameter} > {limit}")
-        self.parameter = parameter
-        self.limit = limit
 
 
 class BosonPoly:
@@ -146,11 +137,6 @@ def multiply(P: BosonPoly, Q: BosonPoly) -> BosonPoly:
 
 def commutator(P: BosonPoly, Q: BosonPoly) -> BosonPoly:
     return multiply(P, Q) - multiply(Q, P)
-
-
-def vacuum_expectation(P: BosonPoly) -> Fraction:
-    """<0| P |0>: the coefficient of the identity monomial."""
-    return P.terms.get((0, 0), Fraction(0))
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Subcommands: sweep, coeffs, fit, verify, compare.  Exit codes:
 0 success, 1 usage error, 2 failed verify check, 3 resource budget exceeded
-(--M above algebra.MAX_M, or 2 n M above algebra.MAX_LEVEL).
+(--M above algebra.MAX_M, 2 n M above algebra.MAX_LEVEL, or a verify norm
+check on more than evolve.MAX_ORACLE_SIZE levels).
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import sys
 from fractions import Fraction
 
 from . import algebra, evolve, series
-from .fock import FockDim, SqueezeParams, commutator_diagonal_value
+from .fock import BudgetExceededError, FockDim, SqueezeParams, commutator_diagonal_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_BUDGET = 3
+
+VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
 
 
 class UsageError(ValueError):
@@ -47,6 +50,19 @@ def parse_n_list(spec: str) -> list[int]:
     if not values or any(v < 2 for v in values) or sorted(values) != values:
         raise UsageError(f"truncation list must be ascending integers >= 2: {spec!r}")
     return values
+
+
+def check_args(args) -> None:
+    """Reject out-of-range numbers before any work is done."""
+    for flag, low in (("n", 1), ("M", 1), ("levels", 0), ("tail", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{flag} must be >= {low}, got {value}")
+    if getattr(args, "N", None):
+        order = args.n if args.n is not None else max(VERIFY_ORDERS)
+        smallest = parse_n_list(args.N)[0]
+        if smallest <= max(order, getattr(args, "tail", None) or 0):
+            raise UsageError(f"every truncation in --N must exceed the order and --tail: {args.N!r}")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -120,7 +136,7 @@ def cmd_compare(args) -> int:
 
 def _verify_checks(args):
     """Yield (name, passed, detail) tuples for the requested checks."""
-    orders = [args.n] if args.n else [1, 2, 3, 4]
+    orders = [args.n] if args.n is not None else VERIFY_ORDERS
     want = args.check
 
     if want in (None, "closed-form"):
@@ -270,11 +286,12 @@ def main(argv=None) -> int:
         # argparse exits 0 after --help and 2 on a parse error; 2 is reserved here
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        check_args(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except algebra.BudgetExceededError as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -6,9 +6,8 @@ which is diagonal in the number basis.  Matrix elements are square roots
 of exact integer products, so no floating-point drift accumulates in the
 sqrt((k+1)...(k+n)) factors even at large N.
 
-scipy.sparse is imported only where the generator is built: the chain
-propagator needs just the couplings, and the CLI's sweep and compare then
-never load scipy.
+The generator is built as a dense matrix, for the small-N oracle; the
+chain propagator needs just the couplings.  Nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -17,6 +16,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class BudgetExceededError(RuntimeError):
+    """A request exceeded a resource cap."""
+
+    def __init__(self, parameter: str, limit):
+        super().__init__(f"resource budget exceeded: {parameter} > {limit}")
+        self.parameter = parameter
+        self.limit = limit
 
 
 @dataclass(frozen=True)
@@ -53,23 +61,13 @@ def _ladder_products(n: int, ks) -> np.ndarray:
     return np.array([math.sqrt(math.prod(range(k + 1, k + n + 1))) for k in ks], dtype=float)
 
 
-def generator(params: SqueezeParams, dim: FockDim):
-    """The anti-Hermitian exponent K = r a†^n - r* a^n of U_n(r), as a scipy CSR array."""
-    from scipy import sparse
-
+def generator(params: SqueezeParams, dim: FockDim) -> np.ndarray:
+    """The anti-Hermitian exponent K = r a†^n - r* a^n of U_n(r), as a dense complex matrix."""
     if dim.size <= params.n:
-        raise ValueError(
-            f"truncation {dim.size} must exceed squeezing order {params.n}"
-        )
+        raise ValueError(f"truncation {dim.size} must exceed squeezing order {params.n}")
     amps = _ladder_products(params.n, range(dim.size - params.n))
     r = complex(params.r)
-    return sparse.diags_array(
-        [r * amps, -np.conj(r) * amps],
-        offsets=[-params.n, params.n],
-        shape=(dim.size, dim.size),
-        format="csr",
-        dtype=complex,
-    )
+    return np.diag(r * amps, -params.n) - np.conj(r) * np.diag(amps, params.n)
 
 
 def commutator_diagonal_value(n: int, m: int) -> int:

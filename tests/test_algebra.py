@@ -16,9 +16,13 @@ from squeezelab.algebra import (
     commutator,
     multiply,
     taylor_partial_sum,
-    vacuum_expectation,
     verify_closed_form,
 )
+
+
+def vacuum_expectation(P):
+    """<0| P |0>: the coefficient of the identity monomial."""
+    return P.terms.get((0, 0), Fraction(0))
 
 
 def nested_commutator(n, m):

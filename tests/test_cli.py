@@ -21,6 +21,7 @@ from squeezelab.cli import (
     parse_r_grid,
     UsageError,
 )
+from squeezelab.evolve import MAX_ORACLE_SIZE
 
 
 def run(capsys, *argv):
@@ -81,6 +82,27 @@ def test_sweep_usage_error_writes_no_file(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert not out.exists()
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--n", "0", "--M", "3"],
+    ["coeffs", "--n", "3", "--M", "0"],
+    ["fit", "--n", "3", "--M", "0"],
+    ["sweep", "--n", "0", "--N", "10", "--r", "0:0.1:0.1"],
+    ["sweep", "--N", "3", "--n", "3"],
+    ["sweep", "--tail", "0"],
+    ["sweep", "--tail", "100", "--N", "100,200"],
+    ["compare", "--N", "3,4", "--n", "3"],
+    ["verify", "--n", "-1", "--check", "c2"],
+    ["verify", "--check", "positivity", "--levels", "-1"],
+    ["verify", "--n", "0"],
+    ["verify", "--check", "monotonic", "--N", "4,5"],
+])
+def test_out_of_range_values_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -149,6 +171,15 @@ def test_coeffs_budget_exit_code(capsys):
     code, out, _ = run(capsys, "coeffs", "--n", "4", "--M", "30")
     assert code == EXIT_OK
     assert len(out.strip().split("\n")) == 31
+
+
+def test_verify_norm_budget_exit_code(capsys):
+    # the dense oracle is refused before its matrix is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--check", "norm", "--levels", "2100")
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_BUDGET and out == ""
+    assert f"budget exceeded: N > {MAX_ORACLE_SIZE}" in err
 
 
 def test_fit_defaults_tri_squeezed(tmp_path, capsys):
@@ -244,7 +275,7 @@ def scipy_modules_after(tmp_path, *runs):
 
 
 def test_sweep_and_compare_never_import_scipy(tmp_path):
-    # loading scipy is most of a CLI start; only the expm oracle and the generator need it
+    # loading scipy would be most of a CLI start; every command runs on numpy alone
     assert scipy_modules_after(
         tmp_path,
         ["sweep", "--n", "3", "--r", "0:0.1:0.05", "--N", "200,201", "--out", "sweep.csv"],
@@ -253,5 +284,14 @@ def test_sweep_and_compare_never_import_scipy(tmp_path):
     ) == []
 
 
-def test_verify_norm_check_loads_scipy(tmp_path):
-    assert "scipy.sparse" in scipy_modules_after(tmp_path, ["verify", "--check", "norm"])
+def test_verify_norm_check_never_imports_scipy(tmp_path):
+    # the dense numpy eigendecomposition is the norm check's oracle
+    assert scipy_modules_after(tmp_path, ["verify", "--check", "norm"], ["verify"]) == []
+
+
+def test_coeffs_and_fit_never_import_scipy(tmp_path):
+    assert scipy_modules_after(
+        tmp_path,
+        ["coeffs", "--n", "3", "--M", "4", "--out", "coeffs.csv"],
+        ["fit", "--n", "3", "--M", "6", "--out", "fit.json"],
+    ) == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,18 +8,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
 from squeezelab.evolve import (
+    MAX_ORACLE_SIZE,
     NotConvergedError,
     StateVector,
     VacuumSectorPropagator,
     converged_region,
     default_tail,
-    expectation_diagonal,
     mean_photon,
     second_derivative_check,
     squeezed_state,
     sweep_photon_number,
 )
 from squeezelab.fock import (
+    BudgetExceededError,
     FockDim,
     SqueezeParams,
     _ladder_products,
@@ -29,8 +31,13 @@ from squeezelab.fock import (
 
 def dense_exponential_state(n, r, size):
     """Independent oracle: scipy dense matrix exponential on the vacuum."""
-    K = generator(SqueezeParams(n, r), FockDim(size)).toarray()
+    K = generator(SqueezeParams(n, r), FockDim(size))
     return expm(K)[:, 0]
+
+
+def expectation_diagonal(diag, v):
+    """Expectation value of the number-basis-diagonal operator with diagonal `diag`."""
+    return float(diag @ np.abs(v.amplitudes) ** 2)
 
 
 def test_zero_generator_is_identity():
@@ -225,6 +232,18 @@ def test_expm_subnormal_r_is_vacuum_without_warning():
         warnings.simplefilter("error")
         w = squeezed_state(SqueezeParams(1, 5e-324), dim, method="expm")
     assert np.array_equal(w.amplitudes, StateVector.vacuum(dim).amplitudes)
+
+
+def test_expm_refuses_oversized_truncation():
+    # refused before the 64 MB dense generator is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"N > {MAX_ORACLE_SIZE}"):
+            squeezed_state(SqueezeParams(3, 0.1), FockDim(MAX_ORACLE_SIZE + 1), method="expm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_squeezed_state_rejects_unknown_method():
