@@ -9,7 +9,7 @@ sweep_n3.csv for plotting.
 
 import numpy as np
 
-from squeezelab import FockDim, VacuumSectorPropagator, converged_region, sweep_photon_number
+from squeezelab import FockDim, VacuumSectorPropagator, certify_truncation_pair, sweep_photon_number
 
 n = 3
 N_pair = (6000, 6001)
@@ -20,7 +20,7 @@ with open("sweep_n3.csv", "w") as fh:
     fh.write(result.to_csv())
 print(f"wrote sweep_n3.csv ({len(result.rows)} rows)")
 
-r_ok = converged_region(n, N_pair, r_grid)
+r_ok = certify_truncation_pair(n, N_pair, r_grid)[0]
 print(f"certified converged region: r <= {r_ok}")
 
 r_probe = [0.05, 0.1, 0.3, 0.6, 1.0]

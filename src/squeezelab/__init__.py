@@ -10,14 +10,12 @@ from .fock import (
 )
 from .evolve import (
     NotConvergedError,
-    StateVector,
     SweepResult,
     SweepRow,
     VacuumSectorPropagator,
-    converged_region,
-    mean_photon,
+    certify_truncation_pair,
+    expm_state,
     second_derivative_check,
-    squeezed_state,
     sweep_photon_number,
 )
 from .algebra import (

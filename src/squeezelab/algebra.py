@@ -33,7 +33,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
 
-from .fock import BudgetExceededError, commutator_diagonal_value
+from .fock import BudgetExceededError, commutator_diagonal_value, ladder_product
 
 # coefficients(n, M) refuses M > MAX_M and 2nM > MAX_LEVEL, the highest Fock
 # level its chain reaches.  Run time grows like M^4 and the integers' size with
@@ -193,7 +193,7 @@ def coefficients(n: int, M: int) -> CoefficientSeries:
     if 2 * n * M > MAX_LEVEL:
         raise BudgetExceededError("2nM", MAX_LEVEL)
     top = 2 * M
-    b2 = [math.prod(range(j * n + 1, j * n + n + 1)) for j in range(top + 1)]
+    b2 = [ladder_product(n, j * n) for j in range(top + 1)]
     # phi[k][j] = phi_j[k] for j = 0..k; phi_j[k] = 0 for j > k
     phi = [[1]]
     for k in range(top):

@@ -11,10 +11,9 @@ real matrix products, cosines for the even sites and sines for the odd
 ones.  This is what makes sweeps over hundreds of r values at N ~ 10^4
 cheap.
 
-``squeezed_state(..., method="expm")`` is the independent oracle for
-cross-checks at small N: one dense Hermitian eigendecomposition of the full
-generator, sharing no code with the chain's Lanczos solver.  Nothing here
-loads scipy.
+`expm_state` is the independent oracle for cross-checks at small N: one
+dense Hermitian eigendecomposition of the full generator, sharing no code
+with the chain's Lanczos solver.  Nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -32,45 +31,20 @@ from .fock import (
     generator,
 )
 
-DEFAULT_LEAK_TOL = 1e-10
+# A state leaks when more than LEAK_TOL of its weight sits in the truncation's
+# top levels, and two truncations agree when their mean photon numbers differ
+# by at most AGREE_RTOL relative to the larger.
+LEAK_TOL = 1e-10
+AGREE_RTOL = 1e-8
 # Largest truncation of the dense expm oracle: one complex matrix is 64 MB, and
 # a call at the cap peaks near 360 MB RSS and takes about 3 s on 2 cores.
 MAX_ORACLE_SIZE = 2048
-
-
-@dataclass
-class StateVector:
-    """Complex amplitudes over Fock levels 0 .. size-1."""
-
-    dim: FockDim
-    amplitudes: np.ndarray
-
-    @classmethod
-    def vacuum(cls, dim: FockDim) -> "StateVector":
-        amps = np.zeros(dim.size, dtype=complex)
-        amps[0] = 1.0
-        return cls(dim, amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def norm_error(self) -> float:
-        return abs(self.norm - 1.0)
-
-
-def mean_photon(v: StateVector) -> float:
-    """<a†a> = sum_m m |v_m|^2."""
-    probs = np.abs(v.amplitudes) ** 2
-    return float(np.arange(v.dim.size) @ probs)
-
 
 # Stop growing the Krylov basis once eta, the largest coefficient that any
 # function |g| <= 1 of the Lanczos matrix puts on the newest basis vector,
 # is at most this.
 WINDOW_TOL = 1e-14
-# Complex entries in one block of chain_grid's output (16 MB).
+# Complex entries of the chain_grid block that grid_diagnostics reduces at a time (16 MB).
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -238,60 +212,56 @@ class VacuumSectorPropagator:
         # exp(-i T |r|) e0 is real on even sites and -i times real on odd sites;
         # with the gauge phase (i e^{i arg r})^j that leaves (-1)^(j//2) e^{ij arg r}
         sign = 1.0 - 2.0 * (j // 2 % 2)
+        angles = np.outer(self.eigvals, mag)
         out = np.empty((len(j), len(r)), dtype=complex)
-        block = max(1, _BLOCK_ENTRIES // len(j))
-        for start in range(0, len(r), block):
-            cols = slice(start, start + block)
-            angles = np.outer(self.eigvals, mag[cols])
-            out[0::2, cols] = self.eigvecs[0::2] @ (np.cos(angles) * self._weights[:, None])
-            out[1::2, cols] = self.eigvecs[1::2] @ (np.sin(angles) * self._weights[:, None])
-            out[:, cols] *= sign[:, None]
-            # the phase is exactly 1 for arg r = 0, the real grids that sweeps use
-            phase = np.angle(r[cols])
-            twisted = phase != 0
-            out[:, cols][:, twisted] *= np.exp(1j * np.outer(j, phase[twisted]))
+        out[0::2] = self.eigvecs[0::2] @ (np.cos(angles) * self._weights[:, None])
+        out[1::2] = self.eigvecs[1::2] @ (np.sin(angles) * self._weights[:, None])
+        out *= sign[:, None]
+        # the phase is exactly 1 for arg r = 0, the real grids that sweeps use
+        phase = np.angle(r)
+        twisted = phase != 0
+        out[:, twisted] *= np.exp(1j * np.outer(j, phase[twisted]))
         out[:, mag == 0] = np.eye(len(j), 1)  # the exact vacuum
         return out
 
-    def grid_diagnostics(self, r_values, tail: int | None = None) -> tuple[np.ndarray, ...]:
+    def grid_diagnostics(self, r_values) -> tuple[np.ndarray, ...]:
         """Mean photon number, leakage and norm error at every r in `r_values`.
 
-        Leakage sums the chain sites at levels >= N - tail (default :func:`default_tail`).
+        Leakage sums the chain sites at the top min(max(10, 2n), N - 1) levels:
+        the generator couples levels in steps of n, so >= 2n catches boundary
+        reflection.  The grid is evaluated in blocks of _BLOCK_ENTRIES // L
+        values of r, each reduced at once, so memory does not grow with the grid.
         """
-        tail = default_tail(self.n) if tail is None else tail
-        if not 1 <= tail < self.dim.size:
-            raise ValueError(f"tail must be in [1, {self.dim.size - 1}], got {tail}")
-        probs = np.abs(self.chain_grid(r_values)) ** 2
-        mean = self.levels @ probs
-        leak = probs[self.levels >= self.dim.size - tail].sum(axis=0)
-        norm_error = np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)
-        return mean, leak, norm_error
+        r = np.asarray(r_values, dtype=complex).reshape(-1)
+        tail = min(max(10, 2 * self.n), self.dim.size - 1)
+        edge = self.levels >= self.dim.size - tail
+        stats = np.empty((3, len(r)))
+        block = max(1, _BLOCK_ENTRIES // len(self.levels))
+        for start in range(0, len(r), block):
+            cols = slice(start, start + block)
+            probs = np.abs(self.chain_grid(r[cols])) ** 2
+            stats[0, cols] = self.levels @ probs
+            stats[1, cols] = probs[edge].sum(axis=0)
+            stats[2, cols] = np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)
+        return tuple(stats)
 
 
-def squeezed_state(params: SqueezeParams, dim: FockDim, method: str = "chain") -> StateVector:
-    """|r_n> = exp(r a†^n - r* a^n)|0> on the truncated basis.
+def expm_state(params: SqueezeParams, dim: FockDim) -> np.ndarray:
+    """|r_n> = exp(r a†^n - r* a^n)|0> over all levels of the truncated basis: the oracle.
 
-    method="chain" uses the vacuum-sector eigendecomposition (default);
-    method="expm" is the independent oracle: one dense eigendecomposition
-    iK = V diag(w) V^+ of the full generator (LAPACK zheevd) gives
-    exp(K)|0> = V e^{-iw} V^+ e0, well conditioned as K is normal (Moler &
-    Van Loan, SIAM Rev. 45, 3, 2003).  Above MAX_ORACLE_SIZE levels it
-    raises :class:`BudgetExceededError` before allocating anything.
+    One dense eigendecomposition iK = V diag(w) V^+ of the full generator
+    (LAPACK zheevd) gives exp(K)|0> = V e^{-iw} V^+ e0, well conditioned as K
+    is normal (Moler & Van Loan, SIAM Rev. 45, 3, 2003).  Above
+    MAX_ORACLE_SIZE levels it raises :class:`BudgetExceededError` before
+    allocating anything.
     """
-    if method == "chain":
-        prop = VacuumSectorPropagator(params.n, dim)
-        amps = np.zeros(dim.size, dtype=complex)
-        amps[prop.levels] = prop.chain_grid([params.r])[:, 0]
-        return StateVector(dim, amps)
-    if method == "expm":
-        if dim.size > MAX_ORACLE_SIZE:
-            raise BudgetExceededError("N", MAX_ORACLE_SIZE)
-        if abs(params.r) < np.finfo(float).tiny:
-            # exp(K)|0> - |0> < 1e-300: return the exact vacuum
-            return StateVector.vacuum(dim)
-        w, V = np.linalg.eigh(1j * generator(params, dim))
-        return StateVector(dim, V @ (np.exp(-1j * w) * V[0].conj()))
-    raise ValueError(f"unknown method {method!r}")
+    if dim.size > MAX_ORACLE_SIZE:
+        raise BudgetExceededError("N", MAX_ORACLE_SIZE)
+    if abs(params.r) < np.finfo(float).tiny:
+        # exp(K)|0> - |0> < 1e-300: return the exact vacuum
+        return np.eye(dim.size, 1, dtype=complex)[:, 0]
+    w, V = np.linalg.eigh(1j * generator(params, dim))
+    return V @ (np.exp(-1j * w) * V[0].conj())
 
 
 @dataclass
@@ -323,21 +293,11 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def default_tail(n: int) -> int:
-    # generator couples levels in steps of n; >= 2n catches boundary reflection
-    return max(10, 2 * n)
-
-
-def sweep_photon_number(
-    n: int,
-    r_grid,
-    N_list,
-    tail: int | None = None,
-) -> SweepResult:
+def sweep_photon_number(n: int, r_grid, N_list) -> SweepResult:
     """Mean photon number over a grid of r for each truncation in N_list.
 
-    Each truncation's whole r grid is evaluated in one :meth:`chain_grid`
-    call.  Rows are sorted by (N, r).
+    Each truncation's whole r grid is evaluated in one
+    :meth:`~VacuumSectorPropagator.grid_diagnostics` call.  Rows are sorted by (N, r).
     """
     r_grid = [float(r) for r in r_grid]
     N_list = [int(N) for N in N_list]
@@ -348,7 +308,7 @@ def sweep_photon_number(
 
     result = SweepResult(n=n)
     for N in N_list:
-        stats = VacuumSectorPropagator(n, FockDim(N)).grid_diagnostics(r_grid, tail)
+        stats = VacuumSectorPropagator(n, FockDim(N)).grid_diagnostics(r_grid)
         result.rows += [
             SweepRow(N, r, float(photons), float(leak), float(norm_error))
             for r, photons, leak, norm_error in zip(r_grid, *stats)
@@ -365,14 +325,13 @@ def second_derivative_check(
     r: float,
     dim: FockDim,
     h: float = 1e-3,
-    leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> tuple[float, float]:
     """Compare d²<a†a>/dr² by finite differences against 2n <[a^n, a†^n]>.
 
     Returns (fd, analytic).  Mean photon number is even in r, so the stencil
     point at r - h is evaluated at |r - h|, which also covers r = 0.
-    Raises :class:`NotConvergedError` if the stencil states leak into the
-    truncation boundary.
+    Raises :class:`NotConvergedError` if a stencil state leaks more than
+    LEAK_TOL into the truncation boundary.
     """
     if r < 0 or h <= 0:
         raise ValueError("need r >= 0 and h > 0")
@@ -380,7 +339,7 @@ def second_derivative_check(
     points = [abs(r - h), r, r + h]
     photons, leak, _ = prop.grid_diagnostics(points)
     for point, point_leak in zip(points, leak):
-        if point_leak > leak_tol:
+        if point_leak > LEAK_TOL:
             raise NotConvergedError(f"state at r={point} is not converged at N={dim.size}")
     fd = float(photons[2] - 2 * photons[1] + photons[0]) / h**2
     probs = np.abs(prop.chain_grid([r])[:, 0]) ** 2
@@ -388,50 +347,25 @@ def second_derivative_check(
     return fd, analytic
 
 
-def truncation_pair_diagnostics(n: int, N_pair, r_grid) -> list[tuple[np.ndarray, ...]]:
-    """:meth:`VacuumSectorPropagator.grid_diagnostics` of `r_grid` at each N in N_pair."""
-    return [VacuumSectorPropagator(n, FockDim(int(N))).grid_diagnostics(r_grid) for N in N_pair]
-
-
-def certify_truncation_pair(
-    n: int,
-    N_pair: tuple[int, int],
-    r_grid,
-    leak_tol: float = DEFAULT_LEAK_TOL,
-    agree_tol: float = 1e-8,
-) -> tuple[float, np.ndarray]:
+def certify_truncation_pair(n: int, N_pair: tuple[int, int], r_grid) -> tuple[float, np.ndarray]:
     """Largest certified grid r, and the mean photon number at N_pair[0] on the sorted grid.
 
-    Certifies every grid point r' <= r: leakage below `leak_tol` at both
-    truncations and relative mean-photon difference below `agree_tol`.
+    Certifies every grid point r' <= r: leakage at most LEAK_TOL at both
+    truncations and relative mean-photon difference at most AGREE_RTOL.
     The radius is 0.0 if no grid point qualifies.
     """
     if N_pair[0] == N_pair[1]:
         raise ValueError("truncation pair must be distinct")
     r_grid = sorted(float(r) for r in r_grid)
-    (photons_a, leak_a, _), (photons_b, leak_b, _) = truncation_pair_diagnostics(
-        n, N_pair, r_grid
+    (photons_a, leak_a, _), (photons_b, leak_b, _) = (
+        VacuumSectorPropagator(n, FockDim(int(N))).grid_diagnostics(r_grid) for N in N_pair
     )
     best = 0.0
     for r, pa, pb, la, lb in zip(r_grid, photons_a, photons_b, leak_a, leak_b):
-        if la > leak_tol or lb > leak_tol:
+        if la > LEAK_TOL or lb > LEAK_TOL:
             break
         scale = max(abs(pa), abs(pb), 1e-30)
-        if r > 0 and abs(pa - pb) / scale > agree_tol:
+        if r > 0 and abs(pa - pb) / scale > AGREE_RTOL:
             break
         best = r
     return best, photons_a
-
-
-def converged_region(
-    n: int,
-    N_pair: tuple[int, int],
-    r_grid,
-    leak_tol: float = DEFAULT_LEAK_TOL,
-    agree_tol: float = 1e-8,
-) -> float:
-    """Largest grid r below which both truncations agree and neither leaks.
-
-    See :func:`certify_truncation_pair`; returns 0.0 if no grid point qualifies.
-    """
-    return certify_truncation_pair(n, N_pair, r_grid, leak_tol, agree_tol)[0]

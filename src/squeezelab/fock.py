@@ -52,13 +52,18 @@ class SqueezeParams:
             raise ValueError("squeezing parameter must be finite")
 
 
+def ladder_product(n: int, k: int) -> int:
+    """(k+1)(k+2)...(k+n) = |<k+n| a†^n |k>|^2, an exact integer."""
+    return math.prod(range(k + 1, k + n + 1))
+
+
 def _ladder_products(n: int, ks) -> np.ndarray:
-    """sqrt((k+1)(k+2)...(k+n)) for each k in `ks`, via exact integer products.
+    """sqrt(ladder_product(n, k)) for each k in `ks`.
 
     These are the matrix elements <k+n| a†^n |k>: the band of the generator
     and, at k = 0, n, 2n, ..., the couplings of the vacuum-sector chain.
     """
-    return np.array([math.sqrt(math.prod(range(k + 1, k + n + 1))) for k in ks], dtype=float)
+    return np.array([math.sqrt(ladder_product(n, k)) for k in ks], dtype=float)
 
 
 def generator(params: SqueezeParams, dim: FockDim) -> np.ndarray:

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import CoefficientSeries, coefficients, taylor_partial_sum
-from .evolve import truncation_pair_diagnostics
+from .evolve import LEAK_TOL, VacuumSectorPropagator
+from .fock import FockDim
+
+# A comparison row converges when both truncations and the Taylor partial sum
+# agree to this absolute tolerance and neither truncation leaks.
+AGREE_TOL = 1e-6
 
 
 def _log_fraction(c) -> float:
@@ -121,12 +126,12 @@ class ComparisonTable:
                 return row.r
         return None
 
-    def summary(self, agree_tol: float) -> dict:
+    def summary(self) -> dict:
         return {
             "n": self.n,
             "M": self.M,
             "N_pair": list(self.dims),
-            "agree_tol": agree_tol,
+            "agree_tol": AGREE_TOL,
             "estimated_radius": self.fit.radius if self.fit else None,
             "alpha": self.fit.alpha if self.fit else None,
             "first_disagreement_r": self.first_disagreement_r,
@@ -138,7 +143,6 @@ def compare_taylor_numeric(
     dim_pair: tuple[int, int],
     M: int,
     r_grid,
-    agree_tol: float = 1e-6,
     series: CoefficientSeries | None = None,
 ) -> ComparisonTable:
     """Tabulate numeric mean photon number at two truncations against the
@@ -147,8 +151,8 @@ def compare_taylor_numeric(
     if series is None:
         series = coefficients(n, M)
     r_grid = [float(r) for r in r_grid]
-    (photons_a, leak_a, _), (photons_b, leak_b, _) = truncation_pair_diagnostics(
-        n, (N_a, N_b), r_grid
+    (photons_a, leak_a, _), (photons_b, leak_b, _) = (
+        VacuumSectorPropagator(n, FockDim(N)).grid_diagnostics(r_grid) for N in (N_a, N_b)
     )
     table = ComparisonTable(n=n, M=M, dims=(N_a, N_b))
     table.fit = fit_exponential(series) if len(series.entries) >= 5 else None
@@ -158,11 +162,11 @@ def compare_taylor_numeric(
         diff_num = abs(pa - pb)
         diff_taylor = abs(ts - pa)
         converged = (
-            diff_num <= agree_tol
-            and diff_taylor <= agree_tol
-            and abs(ts - pb) <= agree_tol
-            and la <= 1e-10
-            and lb <= 1e-10
+            diff_num <= AGREE_TOL
+            and diff_taylor <= AGREE_TOL
+            and abs(ts - pb) <= AGREE_TOL
+            and la <= LEAK_TOL
+            and lb <= LEAK_TOL
         )
         table.rows.append(ComparisonRow(r, pa, pb, ts, diff_num, diff_taylor, converged))
     return table

@@ -16,10 +16,9 @@ from scipy.linalg import expm
 from squeezelab.algebra import coefficients, taylor_partial_sum, verify_closed_form
 from squeezelab.evolve import (
     VacuumSectorPropagator,
-    converged_region,
-    mean_photon,
+    certify_truncation_pair,
+    expm_state,
     second_derivative_check,
-    squeezed_state,
 )
 from squeezelab.fock import (
     FockDim,
@@ -140,7 +139,7 @@ def test_criterion_7_theorem_property_suite():
                    "fd vs 2n<A_n> to 1e-4, phase invariance 1e-9"):
         r_grid = list(np.arange(0, 0.3001, 0.005))
         for n, pair in ((3, (2000, 2001)), (4, (2000, 2001))):
-            r_max = converged_region(n, pair, r_grid)
+            r_max = certify_truncation_pair(n, pair, r_grid)[0]
             assert r_max > 0
             prop = VacuumSectorPropagator(n, FockDim(pair[0]))
             certified = [r for r in r_grid if r <= r_max]
@@ -163,8 +162,8 @@ def test_criterion_7_theorem_property_suite():
             photons = []
             for theta in (0.0, math.pi / 4, math.pi / 2):
                 r = 0.08 * complex(math.cos(theta), math.sin(theta))
-                state = squeezed_state(SqueezeParams(n, r), FockDim(64), method="expm")
-                photons.append(mean_photon(state))
+                probs = np.abs(expm_state(SqueezeParams(n, r), FockDim(64))) ** 2
+                photons.append(float(np.arange(64) @ probs))
             assert max(photons) - min(photons) <= 1e-9
 
 
@@ -172,12 +171,12 @@ def test_criterion_8_numerical_hygiene():
     with criterion("criterion 8: norm error <= 1e-10 everywhere; dense-oracle "
                    "agreement <= 1e-10 at N <= 64"):
         for n, r, size in [(1, 1.0, 400), (2, 0.8, 600), (3, 0.5, 6000), (4, 0.4, 6000)]:
-            state = squeezed_state(SqueezeParams(n, r), FockDim(size))
-            assert state.norm_error <= 1e-10
+            norm_error = VacuumSectorPropagator(n, FockDim(size)).grid_diagnostics([r])[2]
+            assert norm_error[0] <= 1e-10
         for n, r, size in [(1, 0.9, 48), (2, 0.5, 64), (3, 0.3, 64), (4, 0.25, 64)]:
             dim = FockDim(size)
             K = generator(SqueezeParams(n, r), dim)
-            w = squeezed_state(SqueezeParams(n, r), dim, method="expm")
+            w = expm_state(SqueezeParams(n, r), dim)
             oracle = expm(K)[:, 0]
-            assert np.linalg.norm(w.amplitudes - oracle) <= 1e-10
-            assert w.norm_error <= 1e-10
+            assert np.linalg.norm(w - oracle) <= 1e-10
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-10

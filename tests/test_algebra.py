@@ -247,11 +247,11 @@ def test_taylor_partial_sum_two_photon():
 
 
 def test_taylor_matches_numeric_inside_radius():
-    from squeezelab.evolve import mean_photon, squeezed_state
-    from squeezelab.fock import FockDim, SqueezeParams
+    from squeezelab.evolve import VacuumSectorPropagator
+    from squeezelab.fock import FockDim
 
     series = coefficients(3, 20)
-    numeric = mean_photon(squeezed_state(SqueezeParams(3, 0.05), FockDim(2000)))
+    numeric = VacuumSectorPropagator(3, FockDim(2000)).grid_diagnostics([0.05])[0][0]
     assert taylor_partial_sum(series, 0.05) == pytest.approx(numeric, abs=1e-6)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -16,6 +17,7 @@ from squeezelab.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     parse_n_list,
     parse_r_grid,
@@ -90,8 +92,8 @@ def test_sweep_usage_error_writes_no_file(tmp_path, capsys):
     ["fit", "--n", "3", "--M", "0"],
     ["sweep", "--n", "0", "--N", "10", "--r", "0:0.1:0.1"],
     ["sweep", "--N", "3", "--n", "3"],
-    ["sweep", "--tail", "0"],
-    ["sweep", "--tail", "100", "--N", "100,200"],
+    ["compare", "--n", "3", "--M", "0"],
+    ["sweep", "--N", "4,5", "--n", "4"],
     ["compare", "--N", "3,4", "--n", "3"],
     ["verify", "--n", "-1", "--check", "c2"],
     ["verify", "--check", "positivity", "--levels", "-1"],
@@ -111,12 +113,51 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
     ["sweep", "--tol", "1e-12"],
     ["compare", "--tol", "1e-12"],
     [],
+    # knobs that were removed: their values are module constants now
+    ["sweep", "--tail", "10"],
+    ["fit", "--last-points", "5"],
+    ["verify", "--M", "5"],
+    ["verify", "--leak-tol", "1e-10"],
+    ["verify", "--agree-tol", "1e-8"],
+    ["compare", "--agree-tol", "1e-6"],
 ])
 def test_parse_errors_exit_with_usage_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert "error" in err
+
+
+def test_cli_option_surface():
+    # every flag of every subcommand; a new knob has to be added here on purpose
+    subcommands = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    options = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.items()
+    }
+    assert options == {
+        "sweep": {"--n", "--out", "--r", "--N"},
+        "coeffs": {"--n", "--out", "--M"},
+        "fit": {"--n", "--out", "--M", "--coeffs"},
+        "verify": {"--check", "--n", "--levels", "--N", "--r"},
+        "compare": {"--n", "--out", "--r", "--N", "--M", "--summary-out"},
+    }
+    assert sum(map(len, options.values())) == 22
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "3", "--N", "5", "--r", "0:0.1:0.1"],
+    ["compare", "--n", "3", "--N", "5,6", "--M", "3", "--r", "0:0.1:0.1"],
+    ["verify", "--check", "monotonic", "--n", "3", "--N", "8,9"],
+])
+def test_small_truncations_run(capsys, argv):
+    # the leakage tail shrinks to N - 1 levels instead of refusing N <= 10
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    assert out and err == ""
 
 
 def test_help_exits_ok(capsys):
@@ -182,6 +223,28 @@ def test_verify_norm_budget_exit_code(capsys):
     assert f"budget exceeded: N > {MAX_ORACLE_SIZE}" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--levels", "2100"],
+    # 2041 + 2 * 4 + 4 = 2053 levels at n = 4, the largest default order
+    ["verify", "--levels", "2041"],
+    ["verify", "--n", "2", "--levels", "2041"],
+])
+def test_verify_over_budget_prints_nothing(capsys, argv):
+    # refused before the first check runs, not after the cheap checks have passed
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == f"error: resource budget exceeded: N > {MAX_ORACLE_SIZE}\n"
+
+
+def test_verify_norm_budget_applies_only_to_the_norm_check(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "closed-form", "--levels", "2100", "--n", "1")
+    assert code == EXIT_OK
+    assert "PASS closed-form n=1" in out
+    # n = 1 keeps 2041 + 6 = 2047 levels, inside the cap
+    code, out, _ = run(capsys, "verify", "--check", "norm", "--n", "1", "--levels", "2041")
+    assert code == EXIT_OK and "PASS norm-preservation n=1" in out
+
+
 def test_fit_defaults_tri_squeezed(tmp_path, capsys):
     out = tmp_path / "fit.json"
     code, _, _ = run(capsys, "fit", "--n", "3", "--M", "20", "--out", str(out))
@@ -198,6 +261,42 @@ def test_fit_quadri_squeezed(capsys):
     fit = json.loads(out)
     assert 0.02 <= fit["radius"] <= 0.045
     assert 3.1 <= fit["alpha"] <= 3.7
+
+
+def coefficient_file(tmp_path, *rows):
+    path = tmp_path / "coeffs.csv"
+    path.write_text("\n".join(["n,m,numerator,denominator,decimal", *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("rows", [
+    ["3,2,18.5,1,18.5"],  # non-integer numerator
+    ["3,2,18,0,inf"],  # zero denominator
+    ["3,2,18"],  # missing fields
+])
+def test_fit_bad_coefficient_file_is_usage_error(tmp_path, capsys, rows):
+    code, out, err = run(capsys, "fit", "--coeffs", coefficient_file(tmp_path, *rows))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_fit_missing_coefficient_file_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "fit", "--coeffs", str(tmp_path / "missing.csv"))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "missing.csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--n", "3", "--M", "2", "--out", "{missing}/coeffs.csv"],
+    ["compare", "--n", "3", "--N", "100,101", "--M", "3", "--r", "0:0.01:0.01",
+     "--out", "{tmp}/compare.csv", "--summary-out", "{missing}/summary.json"],
+])
+def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, argv):
+    argv = [arg.format(tmp=tmp_path, missing=tmp_path / "missing") for arg in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error: cannot write ") and err.count("\n") == 1
 
 
 def test_fit_from_synthetic_file(tmp_path, capsys):

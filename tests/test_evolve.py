@@ -8,15 +8,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
 from squeezelab.evolve import (
+    _BLOCK_ENTRIES,
     MAX_ORACLE_SIZE,
     NotConvergedError,
-    StateVector,
     VacuumSectorPropagator,
-    converged_region,
-    default_tail,
-    mean_photon,
+    certify_truncation_pair,
+    expm_state,
     second_derivative_check,
-    squeezed_state,
     sweep_photon_number,
 )
 from squeezelab.fock import (
@@ -35,29 +33,48 @@ def dense_exponential_state(n, r, size):
     return expm(K)[:, 0]
 
 
-def expectation_diagonal(diag, v):
+def chain_state(params, dim):
+    """The chain's amplitudes at params.r, scattered onto all dim.size Fock levels."""
+    prop = VacuumSectorPropagator(params.n, dim)
+    amps = np.zeros(dim.size, dtype=complex)
+    amps[prop.levels] = prop.chain_grid([params.r])[:, 0]
+    return amps
+
+
+def mean_photon(amps):
+    """<a†a> = sum_m m |amps_m|^2."""
+    return expectation_diagonal(np.arange(len(amps)), amps)
+
+
+def norm_error(amps):
+    return abs(np.linalg.norm(amps) - 1.0)
+
+
+def vacuum(size):
+    return np.eye(size, 1, dtype=complex)[:, 0]
+
+
+def expectation_diagonal(diag, amps):
     """Expectation value of the number-basis-diagonal operator with diagonal `diag`."""
-    return float(diag @ np.abs(v.amplitudes) ** 2)
+    return float(diag @ np.abs(amps) ** 2)
 
 
 def test_zero_generator_is_identity():
-    dim = FockDim(16)
-    w = squeezed_state(SqueezeParams(2, 0.0), dim, method="expm")
-    assert np.array_equal(w.amplitudes, StateVector.vacuum(dim).amplitudes)
+    w = expm_state(SqueezeParams(2, 0.0), FockDim(16))
+    assert np.array_equal(w, vacuum(16))
 
 
 def test_coherent_state_amplitudes():
     # n=1, r=1 gives a coherent state: |amp_k| = e^(-1/2)/sqrt(k!)
-    dim = FockDim(64)
-    w = squeezed_state(SqueezeParams(1, 1.0), dim, method="expm")
+    w = expm_state(SqueezeParams(1, 1.0), FockDim(64))
     for k in range(25):
         expected = math.exp(-0.5) / math.sqrt(math.factorial(k))
-        assert abs(w.amplitudes[k]) == pytest.approx(expected, abs=1e-12)
+        assert abs(w[k]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_two_photon_mean_matches_sinh():
-    w = squeezed_state(SqueezeParams(2, 0.5), FockDim(200))
-    assert mean_photon(w) == pytest.approx(math.sinh(1.0) ** 2, abs=1e-10)
+    photons = VacuumSectorPropagator(2, FockDim(200)).grid_diagnostics([0.5])[0]
+    assert photons[0] == pytest.approx(math.sinh(1.0) ** 2, abs=1e-10)
 
 
 @pytest.mark.parametrize("n,r,size", [
@@ -70,10 +87,10 @@ def test_two_photon_mean_matches_sinh():
 ])
 def test_chain_matches_dense_oracle(n, r, size):
     # complex r exercises the chain's phase factor (i e^{i arg r})^j
-    state = squeezed_state(SqueezeParams(n, r), FockDim(size), method="chain")
+    state = chain_state(SqueezeParams(n, r), FockDim(size))
     oracle = dense_exponential_state(n, r, size)
-    assert np.linalg.norm(state.amplitudes - oracle) <= 1e-10
-    assert state.norm_error <= 1e-10
+    assert np.linalg.norm(state - oracle) <= 1e-10
+    assert norm_error(state) <= 1e-10
 
 
 @pytest.mark.parametrize("n,r,size", [
@@ -84,10 +101,10 @@ def test_chain_matches_dense_oracle(n, r, size):
     (3, 0.15 + 0.1j, 64),
 ])
 def test_expm_matches_dense_oracle(n, r, size):
-    w = squeezed_state(SqueezeParams(n, r), FockDim(size), method="expm")
+    w = expm_state(SqueezeParams(n, r), FockDim(size))
     oracle = dense_exponential_state(n, r, size)
-    assert np.linalg.norm(w.amplitudes - oracle) <= 1e-10
-    assert w.norm_error <= 1e-10
+    assert np.linalg.norm(w - oracle) <= 1e-10
+    assert norm_error(w) <= 1e-10
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -99,9 +116,9 @@ def test_expm_matches_dense_oracle(n, r, size):
 def test_chain_matches_expm_property(n_size, mag, theta):
     n, size = n_size
     params = SqueezeParams(n, mag * complex(math.cos(theta), math.sin(theta)))
-    chain = squeezed_state(params, FockDim(size), method="chain")
-    oracle = squeezed_state(params, FockDim(size), method="expm")
-    assert np.linalg.norm(chain.amplitudes - oracle.amplitudes) <= 1e-10
+    chain = chain_state(params, FockDim(size))
+    oracle = expm_state(params, FockDim(size))
+    assert np.linalg.norm(chain - oracle) <= 1e-10
 
 
 def full_chain_reconstruction(n, size, r_values):
@@ -218,20 +235,48 @@ def test_sweep_matches_per_r_states(n, N_pair):
         prop = props[row.N]
         amps = np.zeros(row.N, dtype=complex)
         amps[prop.levels] = prop.chain_grid([row.r])[:, 0]
-        state = StateVector(prop.dim, amps)
-        assert row.mean_photon == pytest.approx(mean_photon(state), rel=1e-13, abs=0)
+        assert row.mean_photon == pytest.approx(mean_photon(amps), rel=1e-13, abs=0)
         # round-off sized values are compared absolutely
-        ref_leakage = np.sum(np.abs(amps[row.N - default_tail(n):]) ** 2)
+        ref_leakage = np.sum(np.abs(amps[row.N - max(10, 2 * n):]) ** 2)
         assert row.leakage == pytest.approx(ref_leakage, rel=1e-13, abs=1e-15)
-        assert abs(row.norm_error - state.norm_error) <= 1e-15
+        assert abs(row.norm_error - norm_error(amps)) <= 1e-15
+
+
+def test_multi_block_grid_matches_per_column_chain_grid():
+    # L = 2000 sites gives blocks of 524 values of r; 1201 values make three blocks
+    prop = VacuumSectorPropagator(3, FockDim(6000))
+    r_grid = np.linspace(0.0, 1.0, 1201)
+    assert len(r_grid) > 2 * (_BLOCK_ENTRIES // len(prop.levels))
+    photons, leak, err = prop.grid_diagnostics(r_grid)
+    for i in range(0, len(r_grid), 37):
+        probs = np.abs(prop.chain_grid([r_grid[i]])[:, 0]) ** 2
+        assert photons[i] == pytest.approx(prop.levels @ probs, rel=1e-13, abs=0)
+        assert leak[i] == pytest.approx(probs[prop.levels >= 5990].sum(), rel=1e-13, abs=1e-15)
+        assert abs(err[i] - abs(math.sqrt(probs.sum()) - 1.0)) <= 1e-14
+
+
+def test_grid_diagnostics_memory_is_set_by_the_block_not_the_grid():
+    # one block of L = 2000 sites is 16 MB complex; a whole 8-block grid would be 128 MB
+    prop = VacuumSectorPropagator(3, FockDim(6000))
+    block = _BLOCK_ENTRIES // len(prop.levels)
+    peaks = []
+    for blocks in (2, 8):
+        tracemalloc.start()
+        try:
+            prop.grid_diagnostics(np.linspace(0.0, 1.0, blocks * block))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 16 << 20 <= peaks[0] <= 48 << 20
+    assert peaks[1] <= peaks[0] + (1 << 20)
 
 
 def test_expm_subnormal_r_is_vacuum_without_warning():
     dim = FockDim(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = squeezed_state(SqueezeParams(1, 5e-324), dim, method="expm")
-    assert np.array_equal(w.amplitudes, StateVector.vacuum(dim).amplitudes)
+        w = expm_state(SqueezeParams(1, 5e-324), dim)
+    assert np.array_equal(w, vacuum(2))
 
 
 def test_expm_refuses_oversized_truncation():
@@ -239,86 +284,72 @@ def test_expm_refuses_oversized_truncation():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match=f"N > {MAX_ORACLE_SIZE}"):
-            squeezed_state(SqueezeParams(3, 0.1), FockDim(MAX_ORACLE_SIZE + 1), method="expm")
+            expm_state(SqueezeParams(3, 0.1), FockDim(MAX_ORACLE_SIZE + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def test_squeezed_state_rejects_unknown_method():
-    for method in ("auto", "krylov"):
-        with pytest.raises(ValueError):
-            squeezed_state(SqueezeParams(2, 0.1), FockDim(16), method=method)
-
-
-def test_mean_photon_basis_states():
-    dim = FockDim(8)
-    assert mean_photon(StateVector.vacuum(dim)) == 0.0
-    amps = np.zeros(8, dtype=complex)
-    amps[1] = 1.0
-    assert mean_photon(StateVector(dim, amps)) == 1.0
-
-
 def test_displacement_mean_photon_is_r_squared():
-    w = squeezed_state(SqueezeParams(1, 2.0), FockDim(128))
-    assert mean_photon(w) == pytest.approx(4.0, abs=1e-8)
+    photons = VacuumSectorPropagator(1, FockDim(128)).grid_diagnostics([2.0])[0]
+    assert photons[0] == pytest.approx(4.0, abs=1e-8)
 
 
 def test_expectation_diagonal_examples():
     dim = FockDim(12)
-    vac = StateVector.vacuum(dim)
+    vac = vacuum(12)
     assert expectation_diagonal(a_n_commutator_closed_form(3, dim), vac) == 6.0
     assert expectation_diagonal(a_n_commutator_closed_form(4, dim), vac) == 24.0
     one = np.zeros(12, dtype=complex)
     one[1] = 1.0
-    assert expectation_diagonal(a_n_commutator_closed_form(2, dim), StateVector(dim, one)) == 6.0
+    assert expectation_diagonal(a_n_commutator_closed_form(2, dim), one) == 6.0
 
 
 def test_number_operator_expectation_equals_mean_photon():
-    dim = FockDim(64)
-    w = squeezed_state(SqueezeParams(3, 0.05), dim)
-    assert expectation_diagonal(np.arange(64.0), w) == pytest.approx(mean_photon(w), abs=1e-14)
+    prop = VacuumSectorPropagator(3, FockDim(64))
+    probs = np.abs(prop.chain_grid([0.05])[:, 0]) ** 2
+    photons = prop.grid_diagnostics([0.05])[0][0]
+    assert float(prop.levels @ probs) == pytest.approx(photons, abs=1e-14)
 
 
 def test_leakage_trivial_cases():
     # n = 1, N = 2: the vacuum at r = 0 and |1>, the top level, at r = pi/2
     prop = VacuumSectorPropagator(1, FockDim(2))
-    _, leak, _ = prop.grid_diagnostics([0.0, math.pi / 2], tail=1)
+    _, leak, _ = prop.grid_diagnostics([0.0, math.pi / 2])
     assert leak[0] == 0.0
     assert leak[1] == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        prop.grid_diagnostics([0.0], tail=2)
 
 
 def test_converged_state_has_tiny_leakage():
-    _, leak, _ = VacuumSectorPropagator(3, FockDim(2000)).grid_diagnostics([0.05], tail=30)
+    _, leak, _ = VacuumSectorPropagator(3, FockDim(2000)).grid_diagnostics([0.05])
     assert leak[0] < 1e-12
 
 
 def test_squeezed_state_zero_parameter_is_vacuum():
-    w = squeezed_state(SqueezeParams(3, 0.0), FockDim(100))
-    assert abs(w.amplitudes[0]) == pytest.approx(1.0, abs=1e-14)
-    assert mean_photon(w) == pytest.approx(0.0, abs=1e-20)
+    prop = VacuumSectorPropagator(3, FockDim(100))
+    column = prop.chain_grid([0.0])[:, 0]
+    assert abs(column[0]) == pytest.approx(1.0, abs=1e-14)
+    assert prop.grid_diagnostics([0.0])[0][0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_self_consistency_across_truncations_inside_radius():
-    a = mean_photon(squeezed_state(SqueezeParams(3, 0.05), FockDim(2000)))
-    b = mean_photon(squeezed_state(SqueezeParams(3, 0.05), FockDim(4000)))
+    a, b = (VacuumSectorPropagator(3, FockDim(N)).grid_diagnostics([0.05])[0][0]
+            for N in (2000, 4000))
     assert abs(a - b) <= 1e-8
 
 
 def test_truncation_divergence_beyond_radius():
     # beyond R_3 the curves for adjacent effective truncations separate
-    a = mean_photon(squeezed_state(SqueezeParams(3, 0.5), FockDim(6000)))
-    b = mean_photon(squeezed_state(SqueezeParams(3, 0.5), FockDim(6001)))
+    a, b = (VacuumSectorPropagator(3, FockDim(N)).grid_diagnostics([0.5])[0][0]
+            for N in (6000, 6001))
     assert abs(a - b) / max(a, b) > 0.10
 
 
 def test_norm_preservation_across_regimes():
     for n, r, size in [(1, 1.0, 200), (2, 0.8, 400), (3, 0.9, 3000), (4, 0.6, 3000)]:
-        w = squeezed_state(SqueezeParams(n, r), FockDim(size))
-        assert w.norm_error <= 1e-10
+        err = VacuumSectorPropagator(n, FockDim(size)).grid_diagnostics([r])[2]
+        assert err[0] <= 1e-10
 
 
 def test_phase_invariance_of_mean_photon():
@@ -326,8 +357,7 @@ def test_phase_invariance_of_mean_photon():
     values = []
     for theta in (0.0, math.pi / 4, math.pi / 2):
         r = 0.1 * complex(math.cos(theta), math.sin(theta))
-        w = squeezed_state(SqueezeParams(3, r), FockDim(64), method="expm")
-        values.append(mean_photon(w))
+        values.append(mean_photon(expm_state(SqueezeParams(3, r), FockDim(64))))
     assert max(values) - min(values) <= 1e-9
 
 
@@ -398,25 +428,25 @@ def test_second_derivative_flags_nonconverged():
 
 def test_converged_region_entire_function():
     r_grid = np.arange(0, 1.0001, 0.05)
-    top = converged_region(2, (800, 801), r_grid)
+    top = certify_truncation_pair(2, (800, 801), r_grid)[0]
     assert top == pytest.approx(r_grid[-1])
 
 
 def test_converged_region_stops_near_radius():
     r_grid = np.arange(0, 1.0001, 0.005)
-    r_max = converged_region(3, (4000, 4001), r_grid)
+    r_max = certify_truncation_pair(3, (4000, 4001), r_grid)[0]
     assert 0.0 < r_max <= 0.16
 
 
 def test_converged_region_zero_always_qualifies():
-    assert converged_region(3, (500, 501), [0.0]) == 0.0
+    assert certify_truncation_pair(3, (500, 501), [0.0])[0] == 0.0
     with pytest.raises(ValueError):
-        converged_region(3, (500, 500), [0.0])
+        certify_truncation_pair(3, (500, 500), [0.0])
 
 
 def test_monotone_and_convex_in_converged_region():
     r_grid = list(np.arange(0, 0.2001, 0.005))
-    r_max = converged_region(3, (2000, 2001), r_grid)
+    r_max = certify_truncation_pair(3, (2000, 2001), r_grid)[0]
     prop = VacuumSectorPropagator(3, FockDim(2000))
     values = list(prop.grid_diagnostics([r for r in r_grid if r <= r_max])[0])
     assert len(values) > 3

@@ -119,6 +119,7 @@ def test_compare_csv_schema_and_summary():
     lines = table.to_csv().strip().split("\n")
     assert lines[0] == "r,numeric_N,numeric_Nprime,taylor,diff_num,diff_taylor,converged"
     assert len(lines) == 3
-    summary = table.summary(1e-6)
+    summary = table.summary()
     assert summary["N_pair"] == [500, 501]
+    assert summary["agree_tol"] == 1e-6
     assert summary["estimated_radius"] == pytest.approx(math.exp(-summary["alpha"]))
