@@ -4,21 +4,21 @@ Computes <a†a> for the n=3 squeezed state over r in [0, 1] at two adjacent
 truncations, N = 6000 and N = 6001. Inside the convergence radius
 (r ~< 0.14) the two curves are indistinguishable; beyond it they separate
 and oscillate, revealing the numbers as truncation artifacts. Writes
-sweep_n3.csv for plotting.
+sweep_n3.csv for plotting, through the `squeezelab sweep` command.
 """
 
 import numpy as np
 
-from squeezelab import FockDim, VacuumSectorPropagator, certify_truncation_pair, sweep_photon_number
+from squeezelab import FockDim, VacuumSectorPropagator, certify_truncation_pair
+from squeezelab.cli import main
 
 n = 3
 N_pair = (6000, 6001)
 r_grid = np.arange(0, 1.0001, 0.005)
 
-result = sweep_photon_number(n, r_grid, list(N_pair))
-with open("sweep_n3.csv", "w") as fh:
-    fh.write(result.to_csv())
-print(f"wrote sweep_n3.csv ({len(result.rows)} rows)")
+main(["sweep", "--n", str(n), "--r", "0:1:0.005", "--N", "6000,6001", "--out", "sweep_n3.csv"])
+with open("sweep_n3.csv") as fh:
+    print(f"wrote sweep_n3.csv ({len(fh.readlines()) - 1} rows)")
 
 r_ok = certify_truncation_pair(n, N_pair, r_grid)[0]
 print(f"certified converged region: r <= {r_ok}")

@@ -1,4 +1,8 @@
-"""Numerics and exact boson algebra for generalized n-photon squeezed states."""
+"""Numerics and exact boson algebra for generalized n-photon squeezed states.
+
+The library returns numbers only; every CSV and JSON format lives in
+:mod:`squeezelab.cli`.
+"""
 
 from .fock import (
     BudgetExceededError,
@@ -10,28 +14,21 @@ from .fock import (
 )
 from .evolve import (
     NotConvergedError,
-    SweepResult,
-    SweepRow,
     VacuumSectorPropagator,
     certify_truncation_pair,
     expm_state,
     second_derivative_check,
-    sweep_photon_number,
 )
 from .algebra import (
     BosonPoly,
     CoefficientSeries,
+    FitResult,
     coefficients,
     commutator,
+    fit_exponential,
     multiply,
     taylor_partial_sum,
     verify_closed_form,
-)
-from .series import (
-    ComparisonTable,
-    FitResult,
-    compare_taylor_numeric,
-    fit_exponential,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,7 +12,9 @@ so every Taylor derivative phi_j[k] is an integer, and
 
     c_m = sum_j jn B_j^2 sum_k C(m,k) phi_j[k] phi_j[m-k] / m!
 
-is an exact rational.
+is an exact rational.  For n >= 3 the coefficients grow like e^(alpha m);
+:func:`fit_exponential` fits alpha to the last few of them, and the radius
+of convergence is exp(-alpha).
 
 :class:`BosonPoly` stores normal-ordered polynomials as maps from monomial
 keys (p, q), standing for a†^p a^q, to exact rational coefficients, and
@@ -27,11 +29,11 @@ It shares no code with the chain and serves as the independent oracle:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from operator import mul
+
+import numpy as np
 
 from .fock import BudgetExceededError, commutator_diagonal_value, ladder_product
 
@@ -41,6 +43,8 @@ from .fock import BudgetExceededError, commutator_diagonal_value, ladder_product
 # and 58 MB, and every numerator stays under 3200 digits, inside str()'s limit.
 MAX_M = 200
 MAX_LEVEL = 2400
+# fit_exponential fits the last FIT_POINTS non-zero coefficients.
+FIT_POINTS = 5
 
 
 class BosonPoly:
@@ -79,9 +83,6 @@ class BosonPoly:
         """a†a"""
         return cls.monomial(1, 1)
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         return isinstance(other, BosonPoly) and self.terms == other.terms
 
@@ -96,10 +97,6 @@ class BosonPoly:
 
     def __sub__(self, other: "BosonPoly") -> "BosonPoly":
         return self + (-other)
-
-    def scale(self, factor) -> "BosonPoly":
-        factor = Fraction(factor)
-        return BosonPoly({key: factor * coeff for key, coeff in self.terms.items()})
 
     def number_state_expectation(self, m: int) -> Fraction:
         """<m| P |m>: only the diagonal monomials a†^p a^p contribute m!/(m-p)!."""
@@ -150,32 +147,11 @@ class CoefficientSeries:
     n: int
     entries: list[tuple[int, Fraction]]
 
-    CSV_HEADER = "n,m,numerator,denominator,decimal"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for m, c in self.entries:
-            lines.append(f"{self.n},{m},{c.numerator},{c.denominator},{_decimal(c)}")
-        return "\n".join(lines) + "\n"
-
     def coefficient(self, m: int) -> Fraction:
         for mm, c in self.entries:
             if mm == m:
                 return c
         raise KeyError(f"power {m} not computed")
-
-
-def _decimal(c: Fraction) -> str:
-    """c's double to 17 significant digits, or c itself outside the normal double range."""
-    try:
-        x = float(c)
-    except OverflowError:
-        x = math.inf
-    if c == 0 or sys.float_info.min <= abs(x) < math.inf:
-        return f"{x:.17g}"
-    with localcontext() as context:
-        context.prec = 17
-        return format((Decimal(c.numerator) / c.denominator).normalize(), ".17g")
 
 
 def coefficients(n: int, M: int) -> CoefficientSeries:
@@ -236,6 +212,52 @@ def taylor_partial_sum(series: CoefficientSeries, r: float) -> float:
         return float(total)
     except OverflowError:
         return math.inf if total > 0 else -math.inf
+
+
+@dataclass
+class FitResult:
+    """Fitted exponential growth rate of series coefficients."""
+
+    n: int
+    points_used: list[int]
+    alpha: float
+    alpha_stderr: float
+
+    @property
+    def radius(self) -> float:
+        return math.exp(-self.alpha)
+
+
+def fit_exponential(series: CoefficientSeries) -> FitResult:
+    """Least-squares fit of ln(c_m) = alpha * m over the last FIT_POINTS non-zero entries.
+
+    The model is the pure exponential c_m = e^(alpha m): a single-parameter
+    regression through the origin.  (A free intercept shifts the slope well
+    away from the radius relation R = e^(-alpha); the growth at accessible
+    m still carries a sub-exponential correction that the intercept would
+    otherwise absorb into the slope.)  Logs are taken of the exact
+    numerators and denominators, so the huge integers never pass through
+    floating point.
+    """
+    usable = [(m, c) for m, c in series.entries if c != 0]
+    if len(usable) < FIT_POINTS:
+        raise ValueError(f"series has {len(usable)} non-zero entries, need {FIT_POINTS}")
+    window = usable[-FIT_POINTS:]
+    bad = [m for m, c in window if c < 0]
+    if bad:
+        raise ValueError(f"negative coefficients at m={bad}: log-linear fit undefined")
+    x = np.array([m for m, _ in window], dtype=float)
+    # math.log handles arbitrarily large ints, so split num/den before logging
+    y = np.array([math.log(c.numerator) - math.log(c.denominator) for _, c in window])
+    alpha = float(x @ y) / float(x @ x)
+    resid = y - alpha * x
+    stderr = math.sqrt(float(resid @ resid) / (len(x) - 1) / float(x @ x))
+    return FitResult(
+        n=series.n,
+        points_used=[m for m, _ in window],
+        alpha=alpha,
+        alpha_stderr=stderr,
+    )
 
 
 @dataclass

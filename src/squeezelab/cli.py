@@ -1,22 +1,28 @@
 """Command-line front end emitting plot-ready CSV/JSON.
 
-Subcommands: sweep, coeffs, fit, verify, compare.  Exit codes:
-0 success, 1 usage error, 2 failed verify check, 3 resource budget exceeded
-(--M above algebra.MAX_M, 2 n M above algebra.MAX_LEVEL, or a verify norm
-check on more than evolve.MAX_ORACLE_SIZE levels).
+Subcommands: sweep, coeffs, fit, verify, compare.  This is the one module
+that knows an output format: the library returns numbers, and the three CSV
+tables, the fit and compare JSON and verify's PASS/FAIL lines are all
+written here.  Exit codes: 0 success, 1 usage error, 2 failed verify check,
+3 resource budget exceeded (--M above algebra.MAX_M, 2 n M above
+algebra.MAX_LEVEL, or a verify norm check on more than
+evolve.MAX_ORACLE_SIZE levels).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
-from . import algebra, evolve, series
+from . import algebra, evolve
 from .fock import BudgetExceededError, FockDim, SqueezeParams, commutator_diagonal_value
 
 EXIT_OK = 0
@@ -49,8 +55,8 @@ def parse_n_list(spec: str) -> list[int]:
         values = [int(tok) for tok in spec.split(",") if tok]
     except ValueError as exc:
         raise UsageError(f"bad truncation list {spec!r}") from exc
-    if not values or any(v < 2 for v in values) or sorted(values) != values:
-        raise UsageError(f"truncation list must be ascending integers >= 2: {spec!r}")
+    if not values or values[0] < 2 or sorted(set(values)) != values:
+        raise UsageError(f"truncation list must be strictly ascending integers >= 2: {spec!r}")
     return values
 
 
@@ -73,28 +79,76 @@ def _norm_check_size(levels: int, n: int) -> int:
     return max(levels + 2 * n + 4, 64)
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w") as handle:
+SWEEP_HEADER = "n,N,r,mean_photon,leakage,norm_error,status"
+COMPARE_HEADER = "r,numeric_N,numeric_Nprime,taylor,diff_num,diff_taylor,converged"
+COEFFS_HEADER = "n,m,numerator,denominator,decimal"
+
+
+def _csv(header: str, rows) -> str:
+    """`header`, then one line per row: floats (numpy's too) to 17 significant
+    digits, booleans in lower case, anything else as str()."""
+    def cell(value) -> str:
+        if isinstance(value, (bool, np.bool_)):
+            return str(bool(value)).lower()
+        if isinstance(value, (float, np.floating)):
+            return f"{value:.17g}"
+        return str(value)
+
+    lines = [header, *(",".join(map(cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _write(*outputs: tuple[str | None, str]) -> None:
+    """Write each (path, text), to stdout where the path is None or "-".
+
+    Every file is opened before any is written, so when one path cannot be
+    written nothing is: files this call created are removed again, and
+    existing files keep their contents.
+    """
+    new = [path for path, _ in outputs if path not in (None, "-") and not os.path.exists(path)]
+    with contextlib.ExitStack() as stack:
+        try:  # "a" creates a file without truncating it
+            handles = [
+                sys.stdout if path in (None, "-") else stack.enter_context(open(path, "a"))
+                for path, _ in outputs
+            ]
+        except OSError as exc:
+            for path in filter(os.path.exists, new):
+                os.remove(path)
+            raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+        for handle, (_, text) in zip(handles, outputs):
+            if handle is not sys.stdout:
+                handle.truncate(0)
             handle.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_sweep(args) -> int:
     r_grid = parse_r_grid(args.r)
-    n_list = parse_n_list(args.N)
-    result = evolve.sweep_photon_number(args.n, r_grid, n_list)
-    _write(args.out, result.to_csv())
+    rows = []
+    for N in parse_n_list(args.N):
+        stats = evolve.VacuumSectorPropagator(args.n, FockDim(N)).grid_diagnostics(r_grid)
+        rows += [(args.n, N, r, *values, "ok") for r, *values in zip(r_grid, *stats)]
+    _write((args.out, _csv(SWEEP_HEADER, rows)))
     return EXIT_OK
 
 
+def _decimal(c: Fraction) -> str:
+    """c's double to 17 significant digits, or c itself outside the normal double range."""
+    try:
+        x = float(c)
+    except OverflowError:
+        x = math.inf
+    if c == 0 or sys.float_info.min <= abs(x) < math.inf:
+        return f"{x:.17g}"
+    with localcontext() as context:
+        context.prec = 17
+        return format((Decimal(c.numerator) / c.denominator).normalize(), ".17g")
+
+
 def cmd_coeffs(args) -> int:
-    series_ = algebra.coefficients(args.n, args.M)
-    _write(args.out, series_.to_csv())
+    series = algebra.coefficients(args.n, args.M)
+    rows = [(series.n, m, c.numerator, c.denominator, _decimal(c)) for m, c in series.entries]
+    _write((args.out, _csv(COEFFS_HEADER, rows)))
     return EXIT_OK
 
 
@@ -104,7 +158,7 @@ def read_coefficient_csv(path: str) -> algebra.CoefficientSeries:
             lines = handle.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0].strip() != algebra.CoefficientSeries.CSV_HEADER:
+    if not lines or lines[0].strip() != COEFFS_HEADER:
         raise UsageError(f"unexpected coefficient CSV header in {path}")
     entries = []
     n = None
@@ -123,27 +177,58 @@ def read_coefficient_csv(path: str) -> algebra.CoefficientSeries:
 
 def cmd_fit(args) -> int:
     if args.coeffs:
-        series_ = read_coefficient_csv(args.coeffs)
+        series = read_coefficient_csv(args.coeffs)
     else:
-        series_ = algebra.coefficients(args.n, args.M)
+        series = algebra.coefficients(args.n, args.M)
     try:
-        fit = series.fit_exponential(series_)
+        fit = algebra.fit_exponential(series)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _write(args.out, json.dumps(fit.to_dict(M=len(series_.entries)), indent=2) + "\n")
+        raise UsageError(str(exc)) from exc
+    record = {"n": fit.n, "M": len(series.entries), "points_used": fit.points_used,
+              "alpha": fit.alpha, "alpha_stderr": fit.alpha_stderr, "radius": fit.radius}
+    _write((args.out, json.dumps(record, indent=2) + "\n"))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
+    """Taylor partial sum against the numerics at two truncations, row by row.
+
+    A row converges when all three values agree to evolve.AGREE_TOL absolute
+    and neither truncation leaks more than evolve.LEAK_TOL.
+    """
     r_grid = parse_r_grid(args.r)
     n_pair = parse_n_list(args.N)
     if len(n_pair) != 2:
         raise UsageError("compare needs exactly two truncations, e.g. --N 4000,4001")
-    table = series.compare_taylor_numeric(args.n, (n_pair[0], n_pair[1]), args.M, r_grid)
-    _write(args.out, table.to_csv())
-    summary = json.dumps(table.summary(), indent=2) + "\n"
-    _write(args.summary_out, summary)
+    series = algebra.coefficients(args.n, args.M)
+    (photons_a, leak_a, _), (photons_b, leak_b, _) = (
+        evolve.VacuumSectorPropagator(args.n, FockDim(N)).grid_diagnostics(r_grid) for N in n_pair
+    )
+    rows = []
+    for r, pa, pb, la, lb in zip(r_grid, photons_a, photons_b, leak_a, leak_b):
+        taylor = algebra.taylor_partial_sum(series, r)
+        diffs = (abs(pa - pb), abs(taylor - pa), abs(taylor - pb))
+        converged = (all(d <= evolve.AGREE_TOL for d in diffs)
+                     and la <= evolve.LEAK_TOL and lb <= evolve.LEAK_TOL)
+        rows.append((r, pa, pb, taylor, diffs[0], diffs[1], converged))
+    try:
+        fit = algebra.fit_exponential(series)
+    except ValueError:  # fewer than FIT_POINTS non-zero coefficients
+        fit = None
+    summary = {
+        "n": args.n,
+        "M": args.M,
+        "N_pair": n_pair,
+        "agree_tol": evolve.AGREE_TOL,
+        "estimated_radius": fit.radius if fit else None,
+        "alpha": fit.alpha if fit else None,
+        # the smallest r > 0 whose row does not converge
+        "first_disagreement_r": next((row[0] for row in rows if row[0] > 0 and not row[-1]), None),
+    }
+    _write(
+        (args.out, _csv(COMPARE_HEADER, rows)),
+        (args.summary_out, json.dumps(summary, indent=2) + "\n"),
+    )
     return EXIT_OK
 
 
@@ -172,9 +257,12 @@ def _verify_checks(args):
 
     if want in (None, "odd-zero"):
         for n in orders:
-            # coefficients() raises if any odd coefficient is non-zero
-            algebra.coefficients(n, 5)
-            yield (f"odd-coefficients-zero n={n}", True, "")
+            try:
+                algebra.coefficients(n, 5)  # raises if an odd coefficient is non-zero
+            except AssertionError as exc:
+                yield (f"odd-coefficients-zero n={n}", False, str(exc))
+            else:
+                yield (f"odd-coefficients-zero n={n}", True, "")
 
     if want in (None, "norm"):
         for n in orders:

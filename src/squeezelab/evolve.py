@@ -9,7 +9,8 @@ computed, once per (n, N), by a numpy-only shift-invert Lanczos iteration
 on the even-site block of the squared chain.  A whole grid of r is then two
 real matrix products, cosines for the even sites and sines for the odd
 ones.  This is what makes sweeps over hundreds of r values at N ~ 10^4
-cheap.
+cheap.  The module returns arrays; `squeezelab.cli` tabulates them as the
+sweep and compare tables.
 
 `expm_state` is the independent oracle for cross-checks at small N: one
 dense Hermitian eigendecomposition of the full generator, sharing no code
@@ -17,8 +18,6 @@ with the chain's Lanczos solver.  Nothing here loads scipy.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,9 +32,12 @@ from .fock import (
 
 # A state leaks when more than LEAK_TOL of its weight sits in the truncation's
 # top levels, and two truncations agree when their mean photon numbers differ
-# by at most AGREE_RTOL relative to the larger.
+# by at most AGREE_RTOL relative to the larger.  A compare row converges when
+# both truncations and the Taylor partial sum agree to AGREE_TOL absolute and
+# neither truncation leaks.
 LEAK_TOL = 1e-10
 AGREE_RTOL = 1e-8
+AGREE_TOL = 1e-6
 # Largest truncation of the dense expm oracle: one complex matrix is 64 MB, and
 # a call at the cap peaks near 360 MB RSS and takes about 3 s on 2 cores.
 MAX_ORACLE_SIZE = 2048
@@ -262,58 +264,6 @@ def expm_state(params: SqueezeParams, dim: FockDim) -> np.ndarray:
         return np.eye(dim.size, 1, dtype=complex)[:, 0]
     w, V = np.linalg.eigh(1j * generator(params, dim))
     return V @ (np.exp(-1j * w) * V[0].conj())
-
-
-@dataclass
-class SweepRow:
-    N: int
-    r: float
-    mean_photon: float
-    leakage: float
-    norm_error: float
-    status: str = "ok"
-
-
-@dataclass
-class SweepResult:
-    """Mean photon number tabulated over (N, r), with convergence diagnostics."""
-
-    n: int
-    rows: list[SweepRow] = field(default_factory=list)
-
-    CSV_HEADER = "n,N,r,mean_photon,leakage,norm_error,status"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{self.n},{row.N},{row.r:.17g},{row.mean_photon:.17g},"
-                f"{row.leakage:.17g},{row.norm_error:.17g},{row.status}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def sweep_photon_number(n: int, r_grid, N_list) -> SweepResult:
-    """Mean photon number over a grid of r for each truncation in N_list.
-
-    Each truncation's whole r grid is evaluated in one
-    :meth:`~VacuumSectorPropagator.grid_diagnostics` call.  Rows are sorted by (N, r).
-    """
-    r_grid = [float(r) for r in r_grid]
-    N_list = [int(N) for N in N_list]
-    if not r_grid or not N_list:
-        raise ValueError("r grid and N list must be non-empty")
-    if sorted(r_grid) != r_grid or sorted(N_list) != N_list:
-        raise ValueError("r grid and N list must be ascending")
-
-    result = SweepResult(n=n)
-    for N in N_list:
-        stats = VacuumSectorPropagator(n, FockDim(N)).grid_diagnostics(r_grid)
-        result.rows += [
-            SweepRow(N, r, float(photons), float(leak), float(norm_error))
-            for r, photons, leak, norm_error in zip(r_grid, *stats)
-        ]
-    return result
 
 
 class NotConvergedError(RuntimeError):

@@ -1,5 +1,7 @@
+import io
 import math
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from squeezelab.algebra import (
     taylor_partial_sum,
     verify_closed_form,
 )
+from squeezelab.cli import _decimal, main
 
 
 def vacuum_expectation(P):
@@ -255,14 +258,21 @@ def test_taylor_matches_numeric_inside_radius():
     assert taylor_partial_sum(series, 0.05) == pytest.approx(numeric, abs=1e-6)
 
 
+def coeffs_csv(n, M):
+    """The CSV text that `squeezelab coeffs --n n --M M` writes to stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["coeffs", "--n", str(n), "--M", str(M)]) == 0
+    return out.getvalue()
+
+
 def test_coefficient_csv_decimal_beyond_double_range():
-    entries = [(2, Fraction(1, 3)), (4, Fraction(12345 * 10**396)), (6, Fraction(1, 3 * 10**400))]
-    rows = CoefficientSeries(n=0, entries=entries).to_csv().strip().split("\n")[1:]
-    assert [row.split(",")[-1] for row in rows] == [
+    entries = [Fraction(1, 3), Fraction(12345 * 10**396), Fraction(1, 3 * 10**400)]
+    assert [_decimal(c) for c in entries] == [
         "0.33333333333333331", "1.2345e+400", "3.3333333333333333e-401",
     ]
     # the largest integers the caps allow still print: n * n! at the top level
-    csv = coefficients(MAX_LEVEL // 2, 1).to_csv()
+    csv = coeffs_csv(MAX_LEVEL // 2, 1)
     assert len(csv.split("\n")[1].split(",")[2]) > 3000
 
 
@@ -273,8 +283,7 @@ def test_taylor_partial_sum_beyond_double_range():
 
 
 def test_coefficient_csv_schema():
-    series = coefficients(2, 2)
-    lines = series.to_csv().strip().split("\n")
+    lines = coeffs_csv(2, 2).strip().split("\n")
     assert lines[0] == "n,m,numerator,denominator,decimal"
     assert lines[1] == "2,2,4,1,4"
     assert lines[2].startswith("2,4,16,3,")

@@ -15,6 +15,7 @@ import squeezelab
 from squeezelab.algebra import MAX_LEVEL, MAX_M
 from squeezelab.cli import (
     EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
     build_parser,
@@ -48,6 +49,10 @@ def test_parse_n_list():
         parse_n_list("200,100")
     with pytest.raises(UsageError):
         parse_n_list("1")
+    with pytest.raises(UsageError):
+        parse_n_list("100,100")  # a repeated truncation compares a state with itself
+    with pytest.raises(UsageError):
+        parse_n_list("")
 
 
 def test_sweep_row_count(tmp_path, capsys):
@@ -86,6 +91,20 @@ def test_sweep_usage_error_writes_no_file(tmp_path, capsys):
     assert "usage error" in err
 
 
+def test_compare_usage_error_writes_no_file(tmp_path, capsys):
+    # the summary path is unwritable: the CSV must not be left behind, nor an old one truncated
+    args = ["compare", "--n", "3", "--N", "100,101", "--M", "3", "--r", "0:0.01:0.01",
+            "--summary-out", str(tmp_path / "missing" / "summary.json")]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for out in (new, old):
+        code, stdout, err = run(capsys, *args, "--out", str(out))
+        assert code == EXIT_USAGE and stdout == ""
+        assert err.startswith("usage error: cannot write ") and err.count("\n") == 1
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--n", "0", "--M", "3"],
     ["coeffs", "--n", "3", "--M", "0"],
@@ -99,6 +118,8 @@ def test_sweep_usage_error_writes_no_file(tmp_path, capsys):
     ["verify", "--check", "positivity", "--levels", "-1"],
     ["verify", "--n", "0"],
     ["verify", "--check", "monotonic", "--N", "4,5"],
+    ["verify", "--check", "monotonic", "--n", "3", "--N", "1000,1000"],
+    ["fit", "--n", "1", "--M", "3"],
 ])
 def test_out_of_range_values_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -146,6 +167,19 @@ def test_cli_option_surface():
         "compare": {"--n", "--out", "--r", "--N", "--M", "--summary-out"},
     }
     assert sum(map(len, options.values())) == 22
+
+
+def test_library_surface():
+    # the package's public names; a new record type or wrapper has to be added here on purpose
+    assert set(squeezelab.__all__) == {
+        "algebra", "evolve", "fock",
+        "BudgetExceededError", "FockDim", "SqueezeParams", "a_n_commutator_closed_form",
+        "commutator_diagonal_value", "generator",
+        "NotConvergedError", "VacuumSectorPropagator", "certify_truncation_pair", "expm_state",
+        "second_derivative_check",
+        "BosonPoly", "CoefficientSeries", "FitResult", "coefficients", "commutator",
+        "fit_exponential", "multiply", "taylor_partial_sum", "verify_closed_form",
+    }
 
 
 @pytest.mark.parametrize("argv", [
@@ -324,6 +358,16 @@ def test_verify_fast_checks(capsys):
         code, out, _ = run(capsys, "verify", "--check", check)
         assert code == EXIT_OK, out
         assert "FAIL" not in out
+
+
+def test_verify_odd_zero_check_can_fail(capsys, monkeypatch):
+    def odd_coefficient(n, M):
+        raise AssertionError("odd coefficient m=3 is nonzero: 1/3!")
+
+    monkeypatch.setattr(squeezelab.algebra, "coefficients", odd_coefficient)
+    code, out, err = run(capsys, "verify", "--check", "odd-zero", "--n", "3")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    assert out == "FAIL odd-coefficients-zero n=3 (odd coefficient m=3 is nonzero: 1/3!)\n"
 
 
 def test_verify_monotonic(capsys):

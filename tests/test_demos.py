@@ -3,19 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from squeezelab.algebra import CoefficientSeries
-from squeezelab.evolve import SweepResult
-from squeezelab.series import ComparisonTable
+from squeezelab.cli import COEFFS_HEADER, COMPARE_HEADER, SWEEP_HEADER
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize("script,outputs", [
     # file name -> (header, data rows)
-    ("truncation_sweep.py", {"sweep_n3.csv": (SweepResult.CSV_HEADER, 402)}),
+    ("truncation_sweep.py", {"sweep_n3.csv": (SWEEP_HEADER, 402)}),
     ("coefficient_growth.py", {
-        "coeffs_n3.csv": (CoefficientSeries.CSV_HEADER, 20),
-        "compare_n3.csv": (ComparisonTable.CSV_HEADER, 61),
+        "coeffs_n3.csv": (COEFFS_HEADER, 20),
+        "compare_n3.csv": (COMPARE_HEADER, 61),
     }),
 ])
 def test_demo_writes_its_csv_files(script, outputs, tmp_path, monkeypatch):

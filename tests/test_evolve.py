@@ -1,6 +1,8 @@
+import io
 import math
 import tracemalloc
 import warnings
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from squeezelab.evolve import (
     certify_truncation_pair,
     expm_state,
     second_derivative_check,
-    sweep_photon_number,
 )
 from squeezelab.fock import (
     BudgetExceededError,
@@ -25,6 +26,7 @@ from squeezelab.fock import (
     a_n_commutator_closed_form,
     generator,
 )
+from squeezelab.cli import SWEEP_HEADER, main
 
 
 def dense_exponential_state(n, r, size):
@@ -48,6 +50,25 @@ def mean_photon(amps):
 
 def norm_error(amps):
     return abs(np.linalg.norm(amps) - 1.0)
+
+
+def sweep_csv(*argv):
+    """The CSV text that `squeezelab sweep argv` writes to stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["sweep", *argv]) == 0
+    return out.getvalue()
+
+
+def sweep_rows(*argv):
+    """Rows of `squeezelab sweep argv` as (N, r, mean_photon, leakage, norm_error, status)."""
+    lines = sweep_csv(*argv).splitlines()
+    assert lines[0] == SWEEP_HEADER
+    rows = []
+    for line in lines[1:]:
+        _, N, r, photons, leak, err, status = line.split(",")
+        rows.append((int(N), float(r), float(photons), float(leak), float(err), status))
+    return rows
 
 
 def vacuum(size):
@@ -226,20 +247,19 @@ def test_chain_too_long_for_the_unrolled_solve_is_refused():
 @pytest.mark.parametrize("N_pair", [(2000, 2001), (60, 61)])
 def test_sweep_matches_per_r_states(n, N_pair):
     # at N = 60 the states reach the truncation, so leakage is far from round-off
-    r_grid = [0.025 * i for i in range(41)]
-    result = sweep_photon_number(n, r_grid, N_pair)
+    rows = sweep_rows("--n", str(n), "--r", "0:1:0.025", "--N", "{},{}".format(*N_pair))
     props = {N: VacuumSectorPropagator(n, FockDim(N)) for N in N_pair}
-    assert len(result.rows) == 82
-    for row in result.rows:
+    assert len(rows) == 82
+    for N, r, photons, leak, err, _ in rows:
         # the r's own column, spread over all N Fock levels
-        prop = props[row.N]
-        amps = np.zeros(row.N, dtype=complex)
-        amps[prop.levels] = prop.chain_grid([row.r])[:, 0]
-        assert row.mean_photon == pytest.approx(mean_photon(amps), rel=1e-13, abs=0)
+        prop = props[N]
+        amps = np.zeros(N, dtype=complex)
+        amps[prop.levels] = prop.chain_grid([r])[:, 0]
+        assert photons == pytest.approx(mean_photon(amps), rel=1e-13, abs=0)
         # round-off sized values are compared absolutely
-        ref_leakage = np.sum(np.abs(amps[row.N - max(10, 2 * n):]) ** 2)
-        assert row.leakage == pytest.approx(ref_leakage, rel=1e-13, abs=1e-15)
-        assert abs(row.norm_error - norm_error(amps)) <= 1e-15
+        ref_leakage = np.sum(np.abs(amps[N - max(10, 2 * n):]) ** 2)
+        assert leak == pytest.approx(ref_leakage, rel=1e-13, abs=1e-15)
+        assert abs(err - norm_error(amps)) <= 1e-15
 
 
 def test_multi_block_grid_matches_per_column_chain_grid():
@@ -362,39 +382,29 @@ def test_phase_invariance_of_mean_photon():
 
 
 def test_sweep_r_zero_rows():
-    result = sweep_photon_number(3, [0.0], [100, 200])
-    assert len(result.rows) == 2
-    for row in result.rows:
-        assert row.mean_photon == pytest.approx(0.0, abs=1e-20)
-        assert row.status == "ok"
+    rows = sweep_rows("--n", "3", "--r", "0:0:1", "--N", "100,200")
+    assert len(rows) == 2
+    for _, _, photons, _, _, status in rows:
+        assert photons == pytest.approx(0.0, abs=1e-20)
+        assert status == "ok"
 
 
 def test_sweep_matches_two_photon_closed_form():
-    rs = [0.1, 0.2, 0.3, 0.4, 0.5]
-    result = sweep_photon_number(2, rs, [500])
-    for row in result.rows:
-        assert row.mean_photon == pytest.approx(math.sinh(2 * row.r) ** 2, abs=1e-8)
+    rows = sweep_rows("--n", "2", "--r", "0.1:0.5:0.1", "--N", "500")
+    assert [r for _, r, *_ in rows] == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
+    for _, r, photons, *_ in rows:
+        assert photons == pytest.approx(math.sinh(2 * r) ** 2, abs=1e-8)
 
 
 def test_sweep_sorted_and_complete():
-    result = sweep_photon_number(3, [0.0, 0.1, 0.2], [300, 200, 100][::-1])
-    keys = [(row.N, row.r) for row in result.rows]
+    rows = sweep_rows("--n", "3", "--r", "0:0.2:0.1", "--N", "100,200,300")
+    keys = [(N, r) for N, r, *_ in rows]
     assert keys == sorted(keys)
     assert len(keys) == 9
 
 
-def test_sweep_validates_grids():
-    with pytest.raises(ValueError):
-        sweep_photon_number(3, [], [100])
-    with pytest.raises(ValueError):
-        sweep_photon_number(3, [0.2, 0.1], [100])
-    with pytest.raises(ValueError):
-        sweep_photon_number(3, [0.1], [200, 100])
-
-
 def test_sweep_csv_format():
-    result = sweep_photon_number(2, [0.0, 0.1], [50])
-    lines = result.to_csv().strip().split("\n")
+    lines = sweep_csv("--n", "2", "--r", "0:0.1:0.1", "--N", "50").strip().split("\n")
     assert lines[0] == "n,N,r,mean_photon,leakage,norm_error,status"
     assert len(lines) == 3
     assert lines[1].startswith("2,50,0,")

@@ -1,11 +1,14 @@
+"""The Taylor series of <a†a>: its growth fit, and `squeezelab compare` against the numerics."""
+
+import csv
+import json
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from squeezelab.algebra import CoefficientSeries, coefficients
-from squeezelab.series import compare_taylor_numeric, fit_exponential
+from squeezelab.algebra import CoefficientSeries, coefficients, fit_exponential
+from squeezelab.cli import main
 
 
 def root_test_sequence(series):
@@ -50,7 +53,7 @@ def test_fit_rejects_short_series():
     with pytest.raises(ValueError):
         fit_exponential(coefficients(1, 5))  # only one non-zero entry
     with pytest.raises(ValueError):
-        fit_exponential(coefficients(3, 3), last_points=5)
+        fit_exponential(coefficients(3, 3))
 
 
 def test_fit_rejects_negative_coefficients():
@@ -79,47 +82,68 @@ def test_root_test_tri_squeezed_tracks_fitted_alpha():
 def test_two_photon_late_window_slope_decreases():
     # infinite radius: the log-slope over late windows is eventually negative
     series = coefficients(2, 30)
-    fit = fit_exponential(series, last_points=5)
+    fit = fit_exponential(series)
     assert fit.alpha < 0
 
 
-def test_compare_table_zero_row():
-    table = compare_taylor_numeric(3, (500, 501), 5, [0.0])
-    row = table.rows[0]
-    assert row.numeric_N == 0.0
-    assert row.numeric_Nprime == 0.0
-    assert row.taylor == 0.0
-    assert row.converged
+def run_compare(tmp_path, n, N_pair, M, r_spec):
+    """Rows of `squeezelab compare` (floats, and converged as a bool) and its summary."""
+    out, summary = tmp_path / "compare.csv", tmp_path / "summary.json"
+    code = main(["compare", "--n", str(n), "--N", N_pair, "--M", str(M), "--r", r_spec,
+                 "--out", str(out), "--summary-out", str(summary)])
+    assert code == 0
+    with open(out) as handle:
+        rows = [
+            {key: value == "true" if key == "converged" else float(value)
+             for key, value in row.items()}
+            for row in csv.DictReader(handle)
+        ]
+    return rows, json.loads(summary.read_text())
 
 
-def test_compare_inside_radius_converges():
-    r_grid = np.arange(0, 0.0501, 0.01)
-    table = compare_taylor_numeric(3, (2000, 2001), 20, r_grid)
-    assert all(row.converged for row in table.rows)
-    for row in table.rows:
-        assert row.diff_num <= 1e-6
-        assert row.diff_taylor <= 1e-6
+def test_compare_table_zero_row(tmp_path):
+    rows, _ = run_compare(tmp_path, 3, "500,501", 5, "0:0:1")
+    row = rows[0]
+    assert row["numeric_N"] == 0.0
+    assert row["numeric_Nprime"] == 0.0
+    assert row["taylor"] == 0.0
+    assert row["converged"]
 
 
-def test_compare_beyond_radius_disagrees():
-    table = compare_taylor_numeric(3, (3000, 3001), 20, [0.3])
-    row = table.rows[0]
-    assert not row.converged
+def test_compare_inside_radius_converges(tmp_path):
+    rows, _ = run_compare(tmp_path, 3, "2000,2001", 20, "0:0.05:0.01")
+    assert len(rows) == 6
+    assert all(row["converged"] for row in rows)
+    for row in rows:
+        assert row["diff_num"] <= 1e-6
+        assert row["diff_taylor"] <= 1e-6
 
 
-def test_compare_two_photon_never_disagrees():
-    r_grid = np.arange(0, 0.5001, 0.05)
-    table = compare_taylor_numeric(2, (800, 801), 30, r_grid)
-    assert all(row.converged for row in table.rows)
-    assert table.first_disagreement_r is None
+def test_compare_beyond_radius_disagrees(tmp_path):
+    rows, summary = run_compare(tmp_path, 3, "3000,3001", 20, "0.3:0.3:1")
+    assert not rows[0]["converged"]
+    assert summary["first_disagreement_r"] == 0.3
 
 
-def test_compare_csv_schema_and_summary():
-    table = compare_taylor_numeric(3, (500, 501), 5, [0.0, 0.01])
-    lines = table.to_csv().strip().split("\n")
+def test_compare_two_photon_never_disagrees(tmp_path):
+    rows, summary = run_compare(tmp_path, 2, "800,801", 30, "0:0.5:0.05")
+    assert len(rows) == 11
+    assert all(row["converged"] for row in rows)
+    assert summary["first_disagreement_r"] is None
+
+
+def test_compare_csv_schema_and_summary(tmp_path):
+    rows, summary = run_compare(tmp_path, 3, "500,501", 5, "0:0.01:0.01")
+    lines = (tmp_path / "compare.csv").read_text().strip().split("\n")
     assert lines[0] == "r,numeric_N,numeric_Nprime,taylor,diff_num,diff_taylor,converged"
     assert len(lines) == 3
-    summary = table.summary()
     assert summary["N_pair"] == [500, 501]
     assert summary["agree_tol"] == 1e-6
     assert summary["estimated_radius"] == pytest.approx(math.exp(-summary["alpha"]))
+
+
+def test_compare_summary_without_a_fit(tmp_path):
+    # n = 1 has a single non-zero coefficient: the table is still written, with no radius
+    rows, summary = run_compare(tmp_path, 1, "100,101", 5, "0:0.1:0.1")
+    assert all(row["converged"] for row in rows)
+    assert summary["estimated_radius"] is None and summary["alpha"] is None
