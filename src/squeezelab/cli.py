@@ -66,9 +66,19 @@ def check_args(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise UsageError(f"--{flag} must be >= {low}, got {value}")
-    order = args.n if args.n is not None else max(VERIFY_ORDERS)
+    orders = [args.n] if args.n is not None else VERIFY_ORDERS
+    order = max(orders)
     if getattr(args, "N", None) and parse_n_list(args.N)[0] <= order:
         raise UsageError(f"every truncation in --N must exceed the order: {args.N!r}")
+    if args.command == "compare" or (args.command == "verify" and args.N
+                                     and args.check in (None, "monotonic", "convex")):
+        n_pair = parse_n_list(args.N)
+        if len(n_pair) != 2:
+            raise UsageError(f"{args.command} needs exactly two truncations, e.g. --N 6000,6001")
+        for n in orders:
+            if evolve.chain_length(n, n_pair[0]) == evolve.chain_length(n, n_pair[1]):
+                raise UsageError(f"--N {args.N} gives the same n={n} chain twice, "
+                                 f"as floor((N-1)/n) is equal")
     if args.command == "verify" and args.check in (None, "norm"):
         if _norm_check_size(args.levels, order) > evolve.MAX_ORACLE_SIZE:
             raise BudgetExceededError("N", evolve.MAX_ORACLE_SIZE)
@@ -160,19 +170,20 @@ def read_coefficient_csv(path: str) -> algebra.CoefficientSeries:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0].strip() != COEFFS_HEADER:
         raise UsageError(f"unexpected coefficient CSV header in {path}")
-    entries = []
-    n = None
+    rows = []
     for line in filter(str.strip, lines[1:]):
         try:
             n_s, m_s, num_s, den_s, _dec = line.strip().split(",")
-            n = int(n_s)
-            entries.append((int(m_s), Fraction(int(num_s), int(den_s))))
+            rows.append((int(n_s), int(m_s), Fraction(int(num_s), int(den_s))))
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad coefficient row {line.strip()!r} in {path}") from exc
-    if n is None:
+    if not rows:
         raise UsageError(f"no coefficient rows in {path}")
-    entries.sort()
-    return algebra.CoefficientSeries(n=n, entries=entries)
+    orders = {n for n, _, _ in rows}
+    powers = [m for _, m, _ in rows]
+    if len(orders) > 1 or len(set(powers)) < len(powers):
+        raise UsageError(f"{path} must hold one order n and each power once")
+    return algebra.CoefficientSeries(n=rows[0][0], entries=sorted((m, c) for _, m, c in rows))
 
 
 def cmd_fit(args) -> int:
@@ -198,8 +209,6 @@ def cmd_compare(args) -> int:
     """
     r_grid = parse_r_grid(args.r)
     n_pair = parse_n_list(args.N)
-    if len(n_pair) != 2:
-        raise UsageError("compare needs exactly two truncations, e.g. --N 4000,4001")
     series = algebra.coefficients(args.n, args.M)
     (photons_a, leak_a, _), (photons_b, leak_b, _) = (
         evolve.VacuumSectorPropagator(args.n, FockDim(N)).grid_diagnostics(r_grid) for N in n_pair
@@ -283,11 +292,11 @@ def _verify_checks(args):
             yield (f"phase-invariance n={n}", spread <= 1e-9, f"spread {spread:.2e}")
 
     if want in (None, "monotonic", "convex"):
-        n_pair = parse_n_list(args.N) if args.N else [1000, 1001]
-        if len(n_pair) != 2:
-            raise UsageError("monotonicity check needs exactly two truncations")
         r_grid = parse_r_grid(args.r) if args.r else parse_r_grid("0:0.5:0.005")
         for n in orders:
+            # by default N = n ceil(1000 / n) and N + 1, which give adjacent chains
+            N = n * -(-1000 // n)
+            n_pair = parse_n_list(args.N) if args.N else [N, N + 1]
             r_max, photons = evolve.certify_truncation_pair(n, (n_pair[0], n_pair[1]), r_grid)
             # r_grid is ascending, so the certified points are a prefix of it
             certified = [r for r in r_grid if r <= r_max]
@@ -335,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="mean photon number over (r, N)")
     common(p)
-    p.add_argument("--N", default="2000,2001,4000,4001,6000,6001")
+    # N divisible by 1..6, so each N, N + 1 pair gives two chains for n <= 6
+    p.add_argument("--N", default="1980,1981,3960,3961,6000,6001")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("coeffs", help="exact Taylor coefficients of <a†a>")
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="Taylor partial sum vs truncated numerics")
     common(p)
-    p.add_argument("--N", default="4000,4001", help="pair of truncations")
+    p.add_argument("--N", default="6000,6001", help="pair of truncations")
     p.add_argument("--M", type=int, default=20)
     p.add_argument("--summary-out", default=None, help="summary JSON path (default stdout)")
     p.set_defaults(func=cmd_compare)

@@ -96,6 +96,11 @@ def _shifted_inverse(d: np.ndarray, s: np.ndarray, size: int, shift: float):
     return lambda x: upper(lower(x)[::-1])[::-1]
 
 
+def chain_length(n: int, size: int) -> int:
+    """Sites of the order-n chain at truncation `size`, one per level 0, n, 2n, ... < size."""
+    return (size - 1) // n + 1
+
+
 def _chain_eigensystem(n: int, size: int):
     """Eigenpairs of the vacuum-sector chain that carry |0>, for order n at truncation `size`.
 
@@ -117,13 +122,17 @@ def _chain_eigensystem(n: int, size: int):
     on (M + sigma)^{-1} from e0 finds first (van den Eshof & Hochbruck,
     SIAM J. Sci. Comput. 27, 1438, 2006).  sigma = b_0^2 = <0|M|0> keeps
     ||(M + sigma)^{-1}|| <= 1 / sigma, so the rounding of each solve does
-    not grow with 1 / lambda_min^2.  The basis is fully reorthogonalised
-    (against z too) and doubles from 32 vectors until
-    eta = sum_i |S_0i S_{m-1,i}| over the eigenvectors S of the Lanczos
-    matrix is at most WINDOW_TOL, or until it spans the space.  Every Ritz
-    pair is kept.  Each Ritz vector y gives the odd sites x = lambda B^+ y
-    and lambda = 1 / |B^+ y| by one forward B solve, which damps the
-    rounding in y where B^T y / lambda would amplify it.
+    not grow with 1 / lambda_min^2.  Each step takes the three-term
+    recurrence and then one full Gram-Schmidt pass against the basis (and
+    z), repeated only when that pass shrinks the vector below 1/sqrt(2) of
+    its length (the DGKS test: Daniel, Gragg, Kaufman & Stewart, Math.
+    Comp. 30, 772, 1976).  The basis starts at 32 vectors and grows by a
+    quarter, at least 16, until eta = sum_i |S_0i S_{m-1,i}| over the
+    eigenvectors S of the Lanczos matrix is at most WINDOW_TOL, or until
+    it spans the space.  Every Ritz pair is kept.  Each Ritz vector y gives
+    the odd sites x = lambda B^+ y and lambda = 1 / |B^+ y| by one forward
+    B solve, which damps the rounding in y where B^T y / lambda would
+    amplify it.
 
     Returns (eigenvalues, eigenvectors as C-ordered columns, their weights
     w = 2 v_0, or z_0 for the zero mode, discarded = eta, or 0 once the
@@ -155,18 +164,25 @@ def _chain_eigensystem(n: int, size: int):
         for k in range(len(alpha), m):
             row = locked + k
             w = shift_invert(basis[row])
+            if k:
+                w -= beta[k - 1] * basis[row - 1]
             alpha.append(basis[row] @ w)
-            for _ in range(2):  # one Gram-Schmidt pass loses orthogonality here
+            w -= alpha[k] * basis[row]
+            norm = np.linalg.norm(w)
+            for _ in range(2):  # DGKS: a second pass only if the first cancelled w
                 w -= basis[:row + 1].T @ (basis[:row + 1] @ w)
+                norm, before = np.linalg.norm(w), norm
+                if norm > before * np.sqrt(0.5):
+                    break
             if k + 1 < dim:
-                beta.append(np.linalg.norm(w))
-                basis[row + 1] = w / beta[-1]
+                beta.append(norm)
+                basis[row + 1] = w / norm
         lanczos = np.diag(alpha) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
         S = np.linalg.eigh(lanczos)[1]
         eta = float(np.abs(S[0] * S[-1]).sum())
         if eta <= WINDOW_TOL or m == dim:
             break
-        m = min(2 * m, dim)
+        m = min(m + max(16, m // 4), dim)
     V = np.empty((length, m + locked))
     # Ritz vectors y on the even sites, largest Ritz value (smallest lambda) first
     V[0::2, :m] = basis[locked:locked + m].T @ S[:, ::-1]
@@ -302,10 +318,11 @@ def certify_truncation_pair(n: int, N_pair: tuple[int, int], r_grid) -> tuple[fl
 
     Certifies every grid point r' <= r: leakage at most LEAK_TOL at both
     truncations and relative mean-photon difference at most AGREE_RTOL.
-    The radius is 0.0 if no grid point qualifies.
+    The radius is 0.0 if no grid point qualifies.  A pair that gives one
+    chain twice (equal chain_length) would agree trivially and is refused.
     """
-    if N_pair[0] == N_pair[1]:
-        raise ValueError("truncation pair must be distinct")
+    if chain_length(n, N_pair[0]) == chain_length(n, N_pair[1]):
+        raise ValueError(f"truncations {N_pair[0]} and {N_pair[1]} give the same order-{n} chain")
     r_grid = sorted(float(r) for r in r_grid)
     (photons_a, leak_a, _), (photons_b, leak_b, _) = (
         VacuumSectorPropagator(n, FockDim(int(N))).grid_diagnostics(r_grid) for N in N_pair

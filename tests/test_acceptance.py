@@ -108,9 +108,9 @@ def test_criterion_4_closed_form_curves():
 
 
 def test_criterion_5_taylor_numeric_consensus(series3):
-    with criterion("criterion 5: n=3, r<=0.07: Taylor (M=20) and N=4000/4001 agree to 1e-6"):
-        prop_a = VacuumSectorPropagator(3, FockDim(4000))
-        prop_b = VacuumSectorPropagator(3, FockDim(4001))
+    with criterion("criterion 5: n=3, r<=0.07: Taylor (M=20) and N=4002/4003 agree to 1e-6"):
+        prop_a = VacuumSectorPropagator(3, FockDim(4002))
+        prop_b = VacuumSectorPropagator(3, FockDim(4003))
         rs = np.arange(0, 0.0701, 0.005)
         photons_a, photons_b = (prop.grid_diagnostics(rs)[0] for prop in (prop_a, prop_b))
         for r, pa, pb in zip(rs, photons_a, photons_b):
@@ -142,7 +142,7 @@ def test_criterion_7_theorem_property_suite():
     with criterion("criterion 7: monotone + convex on certified region, "
                    "fd vs 2n<A_n> to 1e-4, phase invariance 1e-9"):
         r_grid = list(np.arange(0, 0.3001, 0.005))
-        for n, pair in ((3, (2000, 2001)), (4, (2000, 2001))):
+        for n, pair in ((3, (2001, 2002)), (4, (2000, 2001))):
             r_max = certify_truncation_pair(n, pair, r_grid)[0]
             assert r_max > 0
             prop = VacuumSectorPropagator(n, FockDim(pair[0]))

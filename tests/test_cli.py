@@ -55,6 +55,15 @@ def test_parse_n_list():
         parse_n_list("")
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_default_truncations_give_distinct_chains(command):
+    # floor((N-1)/n) differs within each N, N + 1 pair, so no row repeats another
+    pairs = parse_n_list(build_parser().parse_args([command]).N)
+    for n in range(1, 7):
+        lengths = [(N - 1) // n for N in pairs]
+        assert len(set(lengths)) == len(lengths)
+
+
 def test_sweep_row_count(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--n", "3", "--r", "0:0.05:0.01",
@@ -93,7 +102,7 @@ def test_sweep_usage_error_writes_no_file(tmp_path, capsys):
 
 def test_compare_usage_error_writes_no_file(tmp_path, capsys):
     # the summary path is unwritable: the CSV must not be left behind, nor an old one truncated
-    args = ["compare", "--n", "3", "--N", "100,101", "--M", "3", "--r", "0:0.01:0.01",
+    args = ["compare", "--n", "3", "--N", "102,103", "--M", "3", "--r", "0:0.01:0.01",
             "--summary-out", str(tmp_path / "missing" / "summary.json")]
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     old.write_text("kept\n")
@@ -119,6 +128,12 @@ def test_compare_usage_error_writes_no_file(tmp_path, capsys):
     ["verify", "--n", "0"],
     ["verify", "--check", "monotonic", "--N", "4,5"],
     ["verify", "--check", "monotonic", "--n", "3", "--N", "1000,1000"],
+    # N and N' that keep the same levels 0, n, 2n, ... give one chain twice
+    ["verify", "--check", "monotonic", "--n", "3", "--N", "1000,1001"],
+    ["verify", "--check", "convex", "--N", "1000,1002"],
+    ["verify", "--N", "4000,4001"],
+    ["compare", "--N", "4000,4001"],
+    ["compare", "--n", "4", "--N", "1001,1003", "--r", "0:0.01:0.01"],
     ["fit", "--n", "1", "--M", "3"],
 ])
 def test_out_of_range_values_are_usage_errors(capsys, argv):
@@ -184,8 +199,8 @@ def test_library_surface():
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--n", "3", "--N", "5", "--r", "0:0.1:0.1"],
-    ["compare", "--n", "3", "--N", "5,6", "--M", "3", "--r", "0:0.1:0.1"],
-    ["verify", "--check", "monotonic", "--n", "3", "--N", "8,9"],
+    ["compare", "--n", "3", "--N", "6,7", "--M", "3", "--r", "0:0.1:0.1"],
+    ["verify", "--check", "monotonic", "--n", "3", "--N", "9,10"],
 ])
 def test_small_truncations_run(capsys, argv):
     # the leakage tail shrinks to N - 1 levels instead of refusing N <= 10
@@ -307,6 +322,8 @@ def coefficient_file(tmp_path, *rows):
     ["3,2,18.5,1,18.5"],  # non-integer numerator
     ["3,2,18,0,inf"],  # zero denominator
     ["3,2,18"],  # missing fields
+    ["3,2,18,1,18", "4,2,96,1,96"],  # two orders
+    ["3,2,18,1,18", "3,4,-1188,1,-1188", "3,2,18,1,18"],  # a power twice
 ])
 def test_fit_bad_coefficient_file_is_usage_error(tmp_path, capsys, rows):
     code, out, err = run(capsys, "fit", "--coeffs", coefficient_file(tmp_path, *rows))
@@ -323,7 +340,7 @@ def test_fit_missing_coefficient_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--n", "3", "--M", "2", "--out", "{missing}/coeffs.csv"],
-    ["compare", "--n", "3", "--N", "100,101", "--M", "3", "--r", "0:0.01:0.01",
+    ["compare", "--n", "3", "--N", "102,103", "--M", "3", "--r", "0:0.01:0.01",
      "--out", "{tmp}/compare.csv", "--summary-out", "{missing}/summary.json"],
 ])
 def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, argv):
@@ -372,7 +389,7 @@ def test_verify_odd_zero_check_can_fail(capsys, monkeypatch):
 
 def test_verify_monotonic(capsys):
     code, out, _ = run(capsys, "verify", "--check", "monotonic", "--n", "3",
-                       "--N", "1000,1001", "--r", "0:0.3:0.01")
+                       "--N", "1002,1003", "--r", "0:0.3:0.01")
     assert code == EXIT_OK
     assert "PASS monotonic n=3" in out
 
@@ -380,7 +397,7 @@ def test_verify_monotonic(capsys):
 def test_compare_all_converged_below_radius(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     summary_path = tmp_path / "cmp.json"
-    code, _, _ = run(capsys, "compare", "--n", "3", "--N", "1000,1001",
+    code, _, _ = run(capsys, "compare", "--n", "3", "--N", "1002,1003",
                      "--M", "20", "--r", "0:0.04:0.01", "--out", str(out),
                      "--summary-out", str(summary_path))
     assert code == EXIT_OK
@@ -421,8 +438,8 @@ def test_sweep_and_compare_never_import_scipy(tmp_path):
     # loading scipy would be most of a CLI start; every command runs on numpy alone
     assert scipy_modules_after(
         tmp_path,
-        ["sweep", "--n", "3", "--r", "0:0.1:0.05", "--N", "200,201", "--out", "sweep.csv"],
-        ["compare", "--n", "3", "--r", "0:0.1:0.05", "--N", "200,201", "--M", "4",
+        ["sweep", "--n", "3", "--r", "0:0.1:0.05", "--N", "201,202", "--out", "sweep.csv"],
+        ["compare", "--n", "3", "--r", "0:0.1:0.05", "--N", "201,202", "--M", "4",
          "--out", "compare.csv", "--summary-out", "summary.json"],
     ) == []
 

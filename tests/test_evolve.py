@@ -15,6 +15,7 @@ from squeezelab.evolve import (
     NotConvergedError,
     VacuumSectorPropagator,
     certify_truncation_pair,
+    chain_length,
     expm_state,
     second_derivative_check,
 )
@@ -181,6 +182,7 @@ def test_chain_grid_columns_are_chain_amplitudes():
     (1, 3), (4, 9),  # L = 3
     (2, 400), (2, 401), (3, 3000), (3, 3001),
     (2, 1001), (1, 2000), (1, 2001),  # n = 1 needs the widest Krylov basis
+    (1, 1000), (1, 1001), (1, 4000),  # verify's n = 1 chains, and several growth steps
     (3, 6000), (3, 6001), (4, 24000), (4, 24001),  # the benchmark's chains
 ])
 def test_chain_grid_matches_full_eigensolve_even_and_odd_length(n, size):
@@ -226,11 +228,13 @@ def test_window_keeps_few_eigenpairs_at_large_truncation(n, size):
     assert prop.discarded <= 1e-14
 
 
-def test_window_doubles_and_falls_back_to_full_chain():
-    # n = 1 spreads |0> over the most eigenvalues: the Krylov basis doubles 32 -> 256
-    wide = VacuumSectorPropagator(1, FockDim(2000))
-    assert wide.eigvecs.shape == (2000, 256)
-    assert wide.discarded <= 1e-14
+def test_window_grows_by_quarters_and_falls_back_to_full_chain():
+    # n = 1 spreads |0> over the most eigenvalues: the Krylov basis grows
+    # 32, 48, 64, 80, 100, 125, 156, 195, 243 and stops once eta <= WINDOW_TOL
+    for n, size, columns in ((1, 1000, 195), (1, 2000, 243), (2, 1000, 48)):
+        wide = VacuumSectorPropagator(n, FockDim(size))
+        assert wide.eigvecs.shape[1] == columns
+        assert wide.discarded <= 1e-14
     # a basis that spans the chain keeps every positive eigenvalue and leaves nothing out
     full = VacuumSectorPropagator(3, FockDim(64))
     assert full.eigvecs.shape == (22, 11)
@@ -444,20 +448,28 @@ def test_converged_region_entire_function():
 
 def test_converged_region_stops_near_radius():
     r_grid = np.arange(0, 1.0001, 0.005)
-    r_max = certify_truncation_pair(3, (4000, 4001), r_grid)[0]
+    r_max = certify_truncation_pair(3, (4002, 4003), r_grid)[0]
     assert 0.0 < r_max <= 0.16
 
 
 def test_converged_region_zero_always_qualifies():
-    assert certify_truncation_pair(3, (500, 501), [0.0])[0] == 0.0
+    assert certify_truncation_pair(3, (501, 502), [0.0])[0] == 0.0
     with pytest.raises(ValueError):
         certify_truncation_pair(3, (500, 500), [0.0])
 
 
+@pytest.mark.parametrize("n,N_pair", [(3, (4000, 4001)), (4, (1001, 1004))])
+def test_truncation_pair_giving_one_chain_is_refused(n, N_pair):
+    # levels 0, n, 2n, ... < N: both truncations keep the same levels, so they cannot disagree
+    assert chain_length(n, N_pair[0]) == chain_length(n, N_pair[1])
+    with pytest.raises(ValueError, match="same order-"):
+        certify_truncation_pair(n, N_pair, [0.0, 0.1])
+
+
 def test_monotone_and_convex_in_converged_region():
     r_grid = list(np.arange(0, 0.2001, 0.005))
-    r_max = certify_truncation_pair(3, (2000, 2001), r_grid)[0]
-    prop = VacuumSectorPropagator(3, FockDim(2000))
+    r_max = certify_truncation_pair(3, (2001, 2002), r_grid)[0]
+    prop = VacuumSectorPropagator(3, FockDim(2001))
     values = list(prop.grid_diagnostics([r for r in r_grid if r <= r_max])[0])
     assert len(values) > 3
     for a, b in zip(values, values[1:]):

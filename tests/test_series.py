@@ -102,7 +102,7 @@ def run_compare(tmp_path, n, N_pair, M, r_spec):
 
 
 def test_compare_table_zero_row(tmp_path):
-    rows, _ = run_compare(tmp_path, 3, "500,501", 5, "0:0:1")
+    rows, _ = run_compare(tmp_path, 3, "501,502", 5, "0:0:1")
     row = rows[0]
     assert row["numeric_N"] == 0.0
     assert row["numeric_Nprime"] == 0.0
@@ -111,7 +111,7 @@ def test_compare_table_zero_row(tmp_path):
 
 
 def test_compare_inside_radius_converges(tmp_path):
-    rows, _ = run_compare(tmp_path, 3, "2000,2001", 20, "0:0.05:0.01")
+    rows, _ = run_compare(tmp_path, 3, "2001,2002", 20, "0:0.05:0.01")
     assert len(rows) == 6
     assert all(row["converged"] for row in rows)
     for row in rows:
@@ -133,11 +133,11 @@ def test_compare_two_photon_never_disagrees(tmp_path):
 
 
 def test_compare_csv_schema_and_summary(tmp_path):
-    rows, summary = run_compare(tmp_path, 3, "500,501", 5, "0:0.01:0.01")
+    rows, summary = run_compare(tmp_path, 3, "501,502", 5, "0:0.01:0.01")
     lines = (tmp_path / "compare.csv").read_text().strip().split("\n")
     assert lines[0] == "r,numeric_N,numeric_Nprime,taylor,diff_num,diff_taylor,converged"
     assert len(lines) == 3
-    assert summary["N_pair"] == [500, 501]
+    assert summary["N_pair"] == [501, 502]
     assert summary["agree_tol"] == 1e-6
     assert summary["estimated_radius"] == pytest.approx(math.exp(-summary["alpha"]))
 
