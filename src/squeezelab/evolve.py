@@ -8,7 +8,8 @@ S = diag((-1)^j), so only the lambda >= 0 eigenpairs that overlap |0> are
 computed, once per (n, N), by a numpy-only shift-invert Lanczos iteration
 on the even-site block of the squared chain.  A whole grid of r is then two
 real matrix products, cosines for the even sites and sines for the odd
-ones.  This is what makes sweeps over hundreds of r values at N ~ 10^4
+ones, which the diagnostics square in place without forming complex
+amplitudes.  This is what makes sweeps over hundreds of r values at N ~ 10^4
 cheap.  The module returns arrays; `squeezelab.cli` tabulates them as the
 sweep and compare tables.
 
@@ -26,7 +27,7 @@ from .fock import (
     FockDim,
     SqueezeParams,
     _ladder_products,
-    a_n_commutator_closed_form,
+    commutator_diagonal_value,
     generator,
 )
 
@@ -46,7 +47,7 @@ MAX_ORACLE_SIZE = 2048
 # function |g| <= 1 of the Lanczos matrix puts on the newest basis vector,
 # is at most this.
 WINDOW_TOL = 1e-14
-# Complex entries of the chain_grid block that grid_diagnostics reduces at a time (16 MB).
+# Entries of the one block that grid_diagnostics reduces at a time (8 MB of real |psi|^2).
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -207,8 +208,9 @@ class VacuumSectorPropagator:
     Solves the vacuum-sector chain once for the eigenpairs that carry |0>;
     a whole grid of r then costs two real matrix products, even sites by
     cosines and odd sites by sines, of size L/2 x k by k x len(grid), with
-    L ~ N/n the chain length.  `discarded` is the Lanczos estimate eta of
-    :func:`_chain_eigensystem`, 0 when the basis spans the chain.
+    L ~ N/n the chain length; their squares are |amplitude|^2.  `discarded`
+    is the Lanczos estimate eta of :func:`_chain_eigensystem`, 0 when the
+    basis spans the chain.
     """
 
     def __init__(self, n: int, dim: FockDim):
@@ -219,27 +221,34 @@ class VacuumSectorPropagator:
         self.eigvals, self.eigvecs, self._weights, self.discarded = _chain_eigensystem(n, dim.size)
         self.levels = n * np.arange(len(self.eigvecs))
 
+    def _real_amplitudes(self, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Chain amplitudes at |r| = mag up to a phase of modulus 1 per site, into `out`.
+
+        Even sites are V_even (cos(lambda |r|) w) and odd ones V_odd (sin(lambda |r|) w);
+        columns with |r| = 0 are the exact vacuum.
+        """
+        angles = np.outer(self.eigvals, mag)
+        np.matmul(self.eigvecs[0::2], np.cos(angles) * self._weights[:, None], out=out[0::2])
+        np.matmul(self.eigvecs[1::2], np.sin(angles) * self._weights[:, None], out=out[1::2])
+        out[:, mag == 0] = np.eye(len(out), 1)
+        return out
+
     def chain_grid(self, r_values) -> np.ndarray:
         """Chain amplitudes for every r in `r_values`, one column per r.
 
         Row j is the amplitude on level jn; all other levels are exactly zero.
         """
         r = np.asarray(r_values, dtype=complex).reshape(-1)
-        mag = np.abs(r)
         j = np.arange(len(self.eigvecs))
+        out = self._real_amplitudes(np.abs(r), np.empty((len(j), len(r))))
         # exp(-i T |r|) e0 is real on even sites and -i times real on odd sites;
         # with the gauge phase (i e^{i arg r})^j that leaves (-1)^(j//2) e^{ij arg r}
-        sign = 1.0 - 2.0 * (j // 2 % 2)
-        angles = np.outer(self.eigvals, mag)
-        out = np.empty((len(j), len(r)), dtype=complex)
-        out[0::2] = self.eigvecs[0::2] @ (np.cos(angles) * self._weights[:, None])
-        out[1::2] = self.eigvecs[1::2] @ (np.sin(angles) * self._weights[:, None])
-        out *= sign[:, None]
+        out *= (1.0 - 2.0 * (j // 2 % 2))[:, None]
+        out = out.astype(complex)
         # the phase is exactly 1 for arg r = 0, the real grids that sweeps use
         phase = np.angle(r)
         twisted = phase != 0
         out[:, twisted] *= np.exp(1j * np.outer(j, phase[twisted]))
-        out[:, mag == 0] = np.eye(len(j), 1)  # the exact vacuum
         return out
 
     def grid_diagnostics(self, r_values) -> tuple[np.ndarray, ...]:
@@ -247,17 +256,21 @@ class VacuumSectorPropagator:
 
         Leakage sums the chain sites at the top min(max(10, 2n), N - 1) levels:
         the generator couples levels in steps of n, so >= 2n catches boundary
-        reflection.  The grid is evaluated in blocks of _BLOCK_ENTRIES // L
-        values of r, each reduced at once, so memory does not grow with the grid.
+        reflection.  |amplitude|^2 is the square of the real amplitudes at |r|,
+        formed in place in one buffer that every block of _BLOCK_ENTRIES // L
+        values of r reuses, so memory does not grow with the grid.
         """
-        r = np.asarray(r_values, dtype=complex).reshape(-1)
+        mag = np.abs(np.asarray(r_values, dtype=complex).reshape(-1))
+        length = len(self.levels)
         tail = min(max(10, 2 * self.n), self.dim.size - 1)
         edge = self.levels >= self.dim.size - tail
-        stats = np.empty((3, len(r)))
-        block = max(1, _BLOCK_ENTRIES // len(self.levels))
-        for start in range(0, len(r), block):
+        stats = np.empty((3, len(mag)))
+        block = max(1, _BLOCK_ENTRIES // length)
+        buffer = np.empty(length * min(block, len(mag)))
+        for start in range(0, len(mag), block):
             cols = slice(start, start + block)
-            probs = np.abs(self.chain_grid(r[cols])) ** 2
+            probs = buffer[:length * len(mag[cols])].reshape(length, -1)
+            np.square(self._real_amplitudes(mag[cols], probs), out=probs)
             stats[0, cols] = self.levels @ probs
             stats[1, cols] = probs[edge].sum(axis=0)
             stats[2, cols] = np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)
@@ -308,8 +321,9 @@ def second_derivative_check(
         if point_leak > LEAK_TOL:
             raise NotConvergedError(f"state at r={point} is not converged at N={dim.size}")
     fd = float(photons[2] - 2 * photons[1] + photons[0]) / h**2
-    probs = np.abs(prop.chain_grid([r])[:, 0]) ** 2
-    analytic = 2 * n * float(a_n_commutator_closed_form(n, dim)[prop.levels] @ probs)
+    commutator = np.array([commutator_diagonal_value(n, m) for m in range(0, dim.size, n)], float)
+    probs = prop._real_amplitudes(np.array([r], dtype=float), np.empty((len(commutator), 1))) ** 2
+    analytic = 2 * n * float(commutator @ probs[:, 0])
     return fd, analytic
 
 
