@@ -8,12 +8,10 @@ from .fock import (
     BudgetExceededError,
     FockDim,
     SqueezeParams,
-    a_n_commutator_closed_form,
     commutator_diagonal_value,
     generator,
 )
 from .evolve import (
-    NotConvergedError,
     VacuumSectorPropagator,
     certify_truncation_pair,
     expm_state,

@@ -35,7 +35,7 @@ from operator import mul
 
 import numpy as np
 
-from .fock import BudgetExceededError, commutator_diagonal_value, ladder_product
+from .fock import BudgetExceededError, chain_couplings, commutator_diagonal_value, ladder_product
 
 # coefficients(n, M) refuses M > MAX_M and 2nM > MAX_LEVEL, the highest Fock
 # level its chain reaches.  Run time grows like M^4 and the integers' size with
@@ -169,7 +169,7 @@ def coefficients(n: int, M: int) -> CoefficientSeries:
     if 2 * n * M > MAX_LEVEL:
         raise BudgetExceededError("2nM", MAX_LEVEL)
     top = 2 * M
-    b2 = [ladder_product(n, j * n) for j in range(top + 1)]
+    b2 = chain_couplings(n, top + 1)
     # phi[k][j] = phi_j[k] for j = 0..k; phi_j[k] = 0 for j > k
     phi = [[1]]
     for k in range(top):
@@ -262,7 +262,7 @@ def fit_exponential(series: CoefficientSeries) -> FitResult:
 
 @dataclass
 class ClosedFormReport:
-    """Outcome of checking [a^n, a†^n] against its diagonal closed form."""
+    """Outcome of checking [a^n, a†^n] against its closed form and the chain's couplings."""
 
     n: int
     max_level: int
@@ -273,11 +273,12 @@ class ClosedFormReport:
 
 
 def verify_closed_form(n: int, max_level: int = 20) -> ClosedFormReport:
-    """Evaluate the symbolic commutator and the sum formula on number states.
+    """Evaluate the Wick commutator, the sum formula and the ladder difference on number states.
 
-    Both sides are exact integers on each |m>; the report carries the first
-    mismatching level (None when all agree) plus the check that the vacuum
-    value is n!.
+    All three are exact integers on each |m>; the ladder difference is, at
+    m = jn, the chain's b_j^2 - b_{j-1}^2 that the curvature identity uses.
+    The report carries the first level where they differ (None when all
+    agree) plus the check that the vacuum value is n!.
     """
     symbolic = commutator(BosonPoly.lowering(n), BosonPoly.raising(n))
     levels = []
@@ -286,7 +287,8 @@ def verify_closed_form(n: int, max_level: int = 20) -> ClosedFormReport:
         lhs = symbolic.number_state_expectation(m)
         rhs = commutator_diagonal_value(n, m)
         levels.append((m, int(lhs), rhs))
-        if lhs != rhs and first_mismatch is None:
+        ladder = ladder_product(n, m) - ladder_product(n, m - n)
+        if (lhs != rhs or ladder != rhs) and first_mismatch is None:
             first_mismatch = m
     vacuum_ok = symbolic.number_state_expectation(0) == math.factorial(n)
     return ClosedFormReport(

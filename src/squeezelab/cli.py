@@ -5,8 +5,8 @@ that knows an output format: the library returns numbers, and the three CSV
 tables, the fit and compare JSON and verify's PASS/FAIL lines are all
 written here.  Exit codes: 0 success, 1 usage error, 2 failed verify check,
 3 resource budget exceeded (--M above algebra.MAX_M, 2 n M above
-algebra.MAX_LEVEL, or a verify norm check on more than
-evolve.MAX_ORACLE_SIZE levels).
+algebra.MAX_LEVEL, verify's norm check over evolve.MAX_ORACLE_SIZE levels,
+over MAX_ROWS grid rows, or an n = 1 chain too long for the chain solver).
 """
 
 from __future__ import annotations
@@ -31,22 +31,35 @@ EXIT_CHECK_FAILED = 2
 EXIT_BUDGET = 3
 
 VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
+# Most rows one r grid may ask for: points times truncations for sweep, points
+# for compare and verify; all rows are held until written.  At the cap, with one
+# BLAS thread, sweep peaks at 565 MB (19 s), compare at 804 MB (10 min) and
+# verify --check monotonic at 233 MB, so every admitted grid stays under 1 GB.
+MAX_ROWS = 10**6
 
 
 class UsageError(ValueError):
     pass
 
 
-def parse_r_grid(spec: str) -> list[float]:
-    """Parse 'start:stop:step' into an inclusive ascending grid."""
+def _r_grid_points(spec: str, rows_per_point: int = 1) -> tuple[float, float, int]:
+    """(start, step, points) of 'start:stop:step', refused above MAX_ROWS rows."""
     try:
         start_s, stop_s, step_s = spec.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise UsageError(f"bad r-grid spec {spec!r}, expected start:stop:step") from exc
-    if start < 0 or stop < start or step <= 0:
-        raise UsageError(f"r-grid must satisfy 0 <= start <= stop, step > 0: {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    if not (0 <= start <= stop < math.inf and 0 < step < math.inf):  # False for nan
+        raise UsageError(f"r-grid must satisfy 0 <= start <= stop, step > 0, all finite: {spec!r}")
+    span = (stop - start) / step + 1e-9  # inf where the ratio overflows
+    if span >= MAX_ROWS or (int(span) + 1) * rows_per_point > MAX_ROWS:
+        raise BudgetExceededError("rows", MAX_ROWS)
+    return start, step, int(span) + 1
+
+
+def parse_r_grid(spec: str) -> list[float]:
+    """Parse 'start:stop:step' into an inclusive ascending grid."""
+    start, step, count = _r_grid_points(spec)
     return [start + step * i for i in range(count)]
 
 
@@ -61,7 +74,7 @@ def parse_n_list(spec: str) -> list[int]:
 
 
 def check_args(args) -> None:
-    """Reject out-of-range numbers, and a verify norm check over budget, before any work is done."""
+    """Reject out-of-range numbers, and a grid or verify norm check over budget, before any work."""
     for flag, low in (("n", 1), ("M", 1), ("levels", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
@@ -79,6 +92,8 @@ def check_args(args) -> None:
             if evolve.chain_length(n, n_pair[0]) == evolve.chain_length(n, n_pair[1]):
                 raise UsageError(f"--N {args.N} gives the same n={n} chain twice, "
                                  f"as floor((N-1)/n) is equal")
+    if getattr(args, "r", None) and getattr(args, "check", None) in (None, "monotonic", "convex"):
+        _r_grid_points(args.r, len(parse_n_list(args.N)) if args.command == "sweep" else 1)
     if args.command == "verify" and args.check in (None, "norm"):
         if _norm_check_size(args.levels, order) > evolve.MAX_ORACLE_SIZE:
             raise BudgetExceededError("N", evolve.MAX_ORACLE_SIZE)

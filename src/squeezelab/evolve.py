@@ -22,14 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import (
-    BudgetExceededError,
-    FockDim,
-    SqueezeParams,
-    _ladder_products,
-    commutator_diagonal_value,
-    generator,
-)
+from .fock import BudgetExceededError, FockDim, SqueezeParams, chain_couplings, generator
 
 # A state leaks when more than LEAK_TOL of its weight sits in the truncation's
 # top levels, and two truncations agree when their mean photon numbers differ
@@ -59,13 +52,13 @@ def _forward_solver(diag: np.ndarray, sub: np.ndarray):
     vector operations.  The running product of -sub[k-1] / diag[k] must stay
     in floating-point range.  For the chain's systems it moves by at most a
     power of the chain length, except for n = 1, where it falls like
-    exp(-sqrt(N)) and leaves the range near N = 5 10^5.
+    exp(-sqrt(N)): near N = 5 10^5 it raises :class:`BudgetExceededError`.
     """
     scale = np.cumprod(np.concatenate(([1.0], -sub / diag[1:])))
     with np.errstate(divide="ignore", over="ignore"):
         inverse = 1.0 / (diag * scale)
     if not np.isfinite(inverse).all():
-        raise ValueError(f"a {len(diag)}-site bidiagonal solve leaves floating-point range")
+        raise BudgetExceededError(f"{len(diag)}-site bidiagonal solve", "floating-point range")
 
     def solve(x: np.ndarray) -> np.ndarray:
         shape = (-1,) + (1,) * (x.ndim - 1)
@@ -139,7 +132,7 @@ def _chain_eigensystem(n: int, size: int):
     w = 2 v_0, or z_0 for the zero mode, discarded = eta, or 0 once the
     basis spans the space).
     """
-    b = _ladder_products(n, range(0, size - n, n))
+    b = np.sqrt(np.array(chain_couplings(n, chain_length(n, size) - 1), dtype=float))
     length = len(b) + 1
     n_even, n_odd = length - length // 2, length // 2
     d, s = b[0::2], b[1::2]  # B[m, m] = d[m], B[m, m-1] = s[m-1]
@@ -295,36 +288,28 @@ def expm_state(params: SqueezeParams, dim: FockDim) -> np.ndarray:
     return V @ (np.exp(-1j * w) * V[0].conj())
 
 
-class NotConvergedError(RuntimeError):
-    """A diagnostic required a truncation-converged state and did not get one."""
+def second_derivative_check(n: int, r: float, dim: FockDim,
+                            h: float = 1e-3) -> tuple[float, float, float]:
+    """(fd, bulk, wall): d²<a†a>/dr² by finite differences, and its exact terms.
 
-
-def second_derivative_check(
-    n: int,
-    r: float,
-    dim: FockDim,
-    h: float = 1e-3,
-) -> tuple[float, float]:
-    """Compare d²<a†a>/dr² by finite differences against 2n <[a^n, a†^n]>.
-
-    Returns (fd, analytic).  Mean photon number is even in r, so the stencil
-    point at r - h is evaluated at |r - h|, which also covers r = 0.
-    Raises :class:`NotConvergedError` if a stencil state leaks more than
-    LEAK_TOL into the truncation boundary.
+    On the L-site chain the curvature is exactly bulk - wall, where
+    bulk = 2n sum_j (b_j^2 - b_{j-1}^2) |psi_j|^2 = 2n <[a^n, a†^n]> > 0 is the
+    paper's term and wall = 2n b_{L-1}^2 |psi_{L-1}|^2 >= 0 is left by the cut
+    coupling b_{L-1}: a truncated curve bends down only through its last site.
+    So fd = bulk - wall up to the O(h^2) stencil error at every r and N.  <a†a>
+    is even in r, so the stencil point r - h is taken at |r - h|, covering r = 0.
     """
     if r < 0 or h <= 0:
         raise ValueError("need r >= 0 and h > 0")
     prop = VacuumSectorPropagator(n, dim)
-    points = [abs(r - h), r, r + h]
-    photons, leak, _ = prop.grid_diagnostics(points)
-    for point, point_leak in zip(points, leak):
-        if point_leak > LEAK_TOL:
-            raise NotConvergedError(f"state at r={point} is not converged at N={dim.size}")
+    photons = prop.grid_diagnostics([abs(r - h), r, r + h])[0]
     fd = float(photons[2] - 2 * photons[1] + photons[0]) / h**2
-    commutator = np.array([commutator_diagonal_value(n, m) for m in range(0, dim.size, n)], float)
-    probs = prop._real_amplitudes(np.array([r], dtype=float), np.empty((len(commutator), 1))) ** 2
-    analytic = 2 * n * float(commutator @ probs[:, 0])
-    return fd, analytic
+    b2 = chain_couplings(n, len(prop.levels))
+    commutator = np.array([b - a for a, b in zip([0] + b2, b2)], dtype=float)
+    probs = prop._real_amplitudes(np.array([r], dtype=float), np.empty((len(b2), 1))) ** 2
+    bulk = 2 * n * float(commutator @ probs[:, 0])
+    wall = 2 * n * b2[-1] * float(probs[-1, 0])
+    return fd, bulk, wall
 
 
 def certify_truncation_pair(n: int, N_pair: tuple[int, int], r_grid) -> tuple[float, np.ndarray]:

@@ -6,8 +6,9 @@ which is diagonal in the number basis.  Matrix elements are square roots
 of exact integer products, so no floating-point drift accumulates in the
 sqrt((k+1)...(k+n)) factors even at large N.
 
-The generator is built as a dense matrix, for the small-N oracle; the
-chain propagator needs just the couplings.  Nothing here loads scipy.
+The generator is built as a dense matrix, for the small-N oracle; the chain
+needs only its couplings, which :func:`chain_couplings` forms.  Nothing here
+loads scipy.
 """
 
 from __future__ import annotations
@@ -57,20 +58,20 @@ def ladder_product(n: int, k: int) -> int:
     return math.prod(range(k + 1, k + n + 1))
 
 
-def _ladder_products(n: int, ks) -> np.ndarray:
-    """sqrt(ladder_product(n, k)) for each k in `ks`.
+def chain_couplings(n: int, sites: int) -> list[int]:
+    """b_j^2 = ladder_product(n, jn) for j < `sites`, exact integers.
 
-    These are the matrix elements <k+n| a†^n |k>: the band of the generator
-    and, at k = 0, n, 2n, ..., the couplings of the vacuum-sector chain.
+    b_j couples the vacuum-sector chain's sites j and j + 1, the Fock levels
+    jn and (j+1)n.  b_j^2 - b_{j-1}^2 = commutator_diagonal_value(n, jn).
     """
-    return np.array([math.sqrt(ladder_product(n, k)) for k in ks], dtype=float)
+    return [ladder_product(n, j * n) for j in range(sites)]
 
 
 def generator(params: SqueezeParams, dim: FockDim) -> np.ndarray:
     """The anti-Hermitian exponent K = r a†^n - r* a^n of U_n(r), as a dense complex matrix."""
     if dim.size <= params.n:
         raise ValueError(f"truncation {dim.size} must exceed squeezing order {params.n}")
-    amps = _ladder_products(params.n, range(dim.size - params.n))
+    amps = np.sqrt([float(ladder_product(params.n, k)) for k in range(dim.size - params.n)])
     r = complex(params.r)
     return np.diag(r * amps, -params.n) - np.conj(r) * np.diag(amps, params.n)
 
@@ -80,7 +81,8 @@ def commutator_diagonal_value(n: int, m: int) -> int:
 
     Closed form: sum over k = 1..n of k! * C(n,k)^2 * (m)(m-1)...(m-(n-k-1)),
     with the empty product (k = n) equal to 1.  Strictly positive for all
-    m >= 0, with minimum n! at m = 0.
+    m >= 0, with minimum n! at m = 0.  It also equals
+    <m|a^n a†^n|m> - <m|a†^n a^n|m> = ladder_product(n, m) - ladder_product(n, m - n).
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -91,8 +93,3 @@ def commutator_diagonal_value(n: int, m: int) -> int:
             term *= m - j
         total += term
     return total
-
-
-def a_n_commutator_closed_form(n: int, dim: FockDim) -> np.ndarray:
-    """Diagonal of [a^n, a†^n] in the number basis, from the exact closed form."""
-    return np.array([commutator_diagonal_value(n, m) for m in range(dim.size)], dtype=float)

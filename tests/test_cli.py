@@ -18,6 +18,7 @@ from squeezelab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_ROWS,
     build_parser,
     main,
     parse_n_list,
@@ -135,6 +136,14 @@ def test_compare_usage_error_writes_no_file(tmp_path, capsys):
     ["compare", "--N", "4000,4001"],
     ["compare", "--n", "4", "--N", "1001,1003", "--r", "0:0.01:0.01"],
     ["fit", "--n", "1", "--M", "3"],
+    # a non-finite start, stop or step
+    ["sweep", "--r", "0:inf:1"],
+    ["sweep", "--r", "nan:1:0.1"],
+    ["sweep", "--r", "0:nan:0.1"],
+    ["sweep", "--r", "0:1:nan"],
+    ["sweep", "--r", "0:1:inf"],
+    ["compare", "--r", "0:1:-inf"],
+    ["verify", "--check", "convex", "--r", "inf:inf:1"],
 ])
 def test_out_of_range_values_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -188,9 +197,9 @@ def test_library_surface():
     # the package's public names; a new record type or wrapper has to be added here on purpose
     assert set(squeezelab.__all__) == {
         "algebra", "evolve", "fock",
-        "BudgetExceededError", "FockDim", "SqueezeParams", "a_n_commutator_closed_form",
-        "commutator_diagonal_value", "generator",
-        "NotConvergedError", "VacuumSectorPropagator", "certify_truncation_pair", "expm_state",
+        "BudgetExceededError", "FockDim", "SqueezeParams", "commutator_diagonal_value",
+        "generator",
+        "VacuumSectorPropagator", "certify_truncation_pair", "expm_state",
         "second_derivative_check",
         "BosonPoly", "CoefficientSeries", "FitResult", "coefficients", "commutator",
         "fit_exponential", "multiply", "taylor_partial_sum", "verify_closed_form",
@@ -283,6 +292,43 @@ def test_verify_over_budget_prints_nothing(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BUDGET and out == ""
     assert err == f"error: resource budget exceeded: N > {MAX_ORACLE_SIZE}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--r", "0:1:1e-9"],
+    # 200001 points: under the cap alone, over it at the six default truncations
+    ["sweep", "--r", "0:1:5e-6"],
+    ["sweep", "--r", "0:1e308:1e-308"],  # the point count overflows to inf
+    ["compare", "--r", "0:1:1e-9"],
+    ["verify", "--check", "monotonic", "--r", "0:1:1e-9"],
+])
+def test_oversized_r_grid_is_refused_before_it_is_built(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_BUDGET and out == ""
+    assert err == f"error: resource budget exceeded: rows > {MAX_ROWS}\n"
+
+
+def test_row_cap_counts_points_times_truncations(capsys, monkeypatch):
+    monkeypatch.setattr(squeezelab.cli, "MAX_ROWS", 10)
+    for argv, code in (
+        (("sweep", "--r", "0:0.9:0.1", "--N", "10"), EXIT_OK),
+        (("sweep", "--r", "0:1:0.1", "--N", "10"), EXIT_BUDGET),
+        (("sweep", "--r", "0:0.4:0.1", "--N", "10,11"), EXIT_OK),
+        (("sweep", "--r", "0:0.5:0.1", "--N", "10,11"), EXIT_BUDGET),
+        (("compare", "--r", "0:0.9:0.1", "--N", "30,31", "--M", "5"), EXIT_OK),
+        (("compare", "--r", "0:1:0.1", "--N", "30,31", "--M", "5"), EXIT_BUDGET),
+    ):
+        assert run(capsys, *argv)[0] == code
+
+
+def test_chain_too_long_for_the_solver_exits_with_budget_code(capsys):
+    # at n = 1 the chain's bidiagonal solves leave floating-point range near N = 5 10^5
+    code, out, err = run(capsys, "sweep", "--n", "1", "--N", "600000", "--r", "0:0.1:0.1")
+    assert code == EXIT_BUDGET and out == ""
+    assert err.startswith("error: resource budget exceeded: ") and err.count("\n") == 1
+    assert "floating-point range" in err
 
 
 def test_verify_norm_budget_applies_only_to_the_norm_check(capsys):

@@ -12,7 +12,6 @@ from scipy.linalg import eigh_tridiagonal, expm
 from squeezelab.evolve import (
     _BLOCK_ENTRIES,
     MAX_ORACLE_SIZE,
-    NotConvergedError,
     VacuumSectorPropagator,
     certify_truncation_pair,
     chain_length,
@@ -23,8 +22,8 @@ from squeezelab.fock import (
     BudgetExceededError,
     FockDim,
     SqueezeParams,
-    _ladder_products,
-    a_n_commutator_closed_form,
+    chain_couplings,
+    commutator_diagonal_value,
     generator,
 )
 from squeezelab.cli import SWEEP_HEADER, main
@@ -79,6 +78,16 @@ def vacuum(size):
 def expectation_diagonal(diag, amps):
     """Expectation value of the number-basis-diagonal operator with diagonal `diag`."""
     return float(diag @ np.abs(amps) ** 2)
+
+
+def commutator_diagonal(n, size):
+    """Diagonal of [a^n, a†^n] on levels 0 .. size-1, as floats."""
+    return np.array([commutator_diagonal_value(n, m) for m in range(size)], dtype=float)
+
+
+def couplings(n, size):
+    """The chain's couplings b_j at truncation `size`, for the LAPACK references."""
+    return np.sqrt(np.array(chain_couplings(n, chain_length(n, size) - 1), dtype=float))
 
 
 def test_zero_generator_is_identity():
@@ -145,7 +154,7 @@ def test_chain_matches_expm_property(n_size, mag, theta):
 
 def full_chain_reconstruction(n, size, r_values):
     """Reference: the chain state from every eigenpair of one full eigensolve."""
-    b = _ladder_products(n, range(0, size - n, n))
+    b = couplings(n, size)
     lam, V = eigh_tridiagonal(np.zeros(len(b) + 1), b)
     j = np.arange(len(lam))
     return np.stack([
@@ -198,7 +207,7 @@ def test_zero_mode_matches_lapack(n, size):
     prop = VacuumSectorPropagator(n, FockDim(size))
     length = len(prop.levels)
     assert length % 2 == 1 and prop.eigvals[-1] == 0.0
-    b = _ladder_products(n, range(0, size - n, n))
+    b = couplings(n, size)
     _, lapack = eigh_tridiagonal(
         np.zeros(length), b, select="i", select_range=(length // 2, length // 2),
         tol=2 * np.finfo(float).tiny,
@@ -212,7 +221,7 @@ def test_zero_mode_matches_lapack(n, size):
 @pytest.mark.parametrize("n,size", [(1, 40), (2, 101), (3, 64), (4, 97)])
 def test_full_eigensolve_pairs_lambda_with_minus_lambda(n, size):
     # S T S = -T for S = diag((-1)^j), so S v is the eigenvector for -lambda
-    b = _ladder_products(n, range(0, size - n, n))
+    b = couplings(n, size)
     lam, V = eigh_tridiagonal(np.zeros(len(b) + 1), b)
     S = (-1.0) ** np.arange(len(lam))
     assert np.abs(lam + lam[::-1]).max() <= 1e-12 * np.abs(lam).max()
@@ -243,7 +252,7 @@ def test_window_grows_by_quarters_and_falls_back_to_full_chain():
 
 def test_chain_too_long_for_the_unrolled_solve_is_refused():
     # at n = 1 the Cholesky recurrence's running product falls like exp(-sqrt(N))
-    with pytest.raises(ValueError, match="floating-point range"):
+    with pytest.raises(BudgetExceededError, match="floating-point range"):
         VacuumSectorPropagator(1, FockDim(600_000))
 
 
@@ -355,11 +364,11 @@ def test_displacement_mean_photon_is_r_squared():
 def test_expectation_diagonal_examples():
     dim = FockDim(12)
     vac = vacuum(12)
-    assert expectation_diagonal(a_n_commutator_closed_form(3, dim), vac) == 6.0
-    assert expectation_diagonal(a_n_commutator_closed_form(4, dim), vac) == 24.0
+    assert expectation_diagonal(commutator_diagonal(3, dim.size), vac) == 6.0
+    assert expectation_diagonal(commutator_diagonal(4, dim.size), vac) == 24.0
     one = np.zeros(12, dtype=complex)
     one[1] = 1.0
-    assert expectation_diagonal(a_n_commutator_closed_form(2, dim), one) == 6.0
+    assert expectation_diagonal(commutator_diagonal(2, dim.size), one) == 6.0
 
 
 def test_number_operator_expectation_equals_mean_photon():
@@ -447,29 +456,44 @@ def test_sweep_csv_format():
 
 
 def test_second_derivative_at_origin():
-    fd, analytic = second_derivative_check(3, 0.0, FockDim(2000))
-    assert analytic == pytest.approx(36.0, rel=1e-12)
-    assert fd == pytest.approx(36.0, rel=1e-4)
-    fd, analytic = second_derivative_check(4, 0.0, FockDim(2000))
-    assert analytic == pytest.approx(192.0, rel=1e-12)
-    assert fd == pytest.approx(192.0, rel=1e-3)
+    # the vacuum has no weight on the last site: the wall term is exactly 0
+    fd, bulk, wall = second_derivative_check(3, 0.0, FockDim(2000))
+    assert bulk == pytest.approx(36.0, rel=1e-12) and wall == 0.0
+    assert fd == pytest.approx(bulk - wall, rel=1e-4)
+    fd, bulk, wall = second_derivative_check(4, 0.0, FockDim(2000))
+    assert bulk == pytest.approx(192.0, rel=1e-12) and wall == 0.0
+    assert fd == pytest.approx(bulk - wall, rel=1e-3)
 
 
 def test_second_derivative_displacement():
-    fd, analytic = second_derivative_check(1, 0.5, FockDim(200))
-    assert analytic == pytest.approx(2.0, rel=1e-12)
-    assert fd == pytest.approx(2.0, rel=1e-6)
+    fd, bulk, wall = second_derivative_check(1, 0.5, FockDim(200))
+    assert bulk == pytest.approx(2.0, rel=1e-12)
+    assert fd == pytest.approx(bulk - wall, rel=1e-6)
 
 
 def test_second_derivative_agreement_inside_radius():
-    fd, analytic = second_derivative_check(3, 0.08, FockDim(4000), h=1e-3)
-    assert fd == pytest.approx(analytic, rel=1e-4)
-    assert fd > 0 and analytic > 0
+    fd, bulk, wall = second_derivative_check(3, 0.08, FockDim(4000), h=1e-3)
+    assert fd == pytest.approx(bulk - wall, rel=1e-4)
+    assert fd > 0 and bulk > 0
 
 
-def test_second_derivative_flags_nonconverged():
-    with pytest.raises(NotConvergedError):
-        second_derivative_check(3, 0.9, FockDim(500))
+@pytest.mark.parametrize("n,size,r,dip,tol", [
+    # dips: the truncated curve bends down, and only the wall term can make it do so
+    (3, 6000, 0.26, True, 2e-8),
+    (3, 6001, 0.5, True, 2e-8),
+    (4, 2400, 0.06, True, 1e-7),
+    # far past the leakage threshold, and a chain of two sites
+    (3, 500, 0.9, False, 2e-5),
+    (1, 2, 0.1, False, 3e-7),
+    # a wall weight of 7.5e-16 times b_{L-1}^2 ~ 3e17: fd is 9.5x below bulk
+    (4, 24000, 0.01, False, 1e-4),
+])
+def test_second_derivative_is_bulk_minus_wall(n, size, r, dip, tol):
+    # tol is 10-25x the O(h^2) stencil error measured at h = 2e-4, relative to bulk
+    fd, bulk, wall = second_derivative_check(n, r, FockDim(size), h=2e-4)
+    assert bulk > 0 and wall >= 0
+    assert abs(fd - (bulk - wall)) <= tol * bulk
+    assert (fd < 0) == dip
 
 
 def test_converged_region_entire_function():

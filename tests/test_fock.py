@@ -6,9 +6,10 @@ import pytest
 from squeezelab.fock import (
     FockDim,
     SqueezeParams,
-    a_n_commutator_closed_form,
+    chain_couplings,
     commutator_diagonal_value,
     generator,
+    ladder_product,
 )
 
 
@@ -57,9 +58,7 @@ def test_generator_band_structure():
 
 
 def test_closed_form_n2_diagonal():
-    diag = a_n_commutator_closed_form(2, FockDim(5))
-    assert diag.dtype == float
-    assert np.array_equal(diag, [2, 6, 10, 14, 18])
+    assert [commutator_diagonal_value(2, m) for m in range(5)] == [2, 6, 10, 14, 18]
 
 
 def test_closed_form_explicit_values():
@@ -82,7 +81,7 @@ def test_matrix_commutator_matches_closed_form(n):
     a_n = np.linalg.matrix_power(a, n)
     adag_n = a_n.T
     comm = a_n @ adag_n - adag_n @ a_n
-    closed = np.diag(a_n_commutator_closed_form(n, dim))
+    closed = np.diag([float(commutator_diagonal_value(n, m)) for m in range(dim.size)])
     safe = dim.size - n
     assert np.allclose(comm[:safe, :safe], closed[:safe, :safe], rtol=1e-13, atol=1e-13)
 
@@ -93,3 +92,17 @@ def test_closed_form_diagonal_minimum(n):
     assert all(v >= math.factorial(n) for v in values)
     assert values[0] == math.factorial(n)
     assert all(v > 0 for v in values)
+
+
+def test_closed_form_is_the_ladder_difference():
+    # on |m>, a^n a†^n = ladder_product(n, m) and a†^n a^n = ladder_product(n, m - n),
+    # which is 0 for m < n; at m = jn the difference is the chain's b_j^2 - b_{j-1}^2
+    for n in range(1, 9):
+        for m in range(400):
+            ladder = ladder_product(n, m) - ladder_product(n, m - n)
+            assert commutator_diagonal_value(n, m) == ladder
+        b2 = chain_couplings(n, 400 // n)
+        assert b2[0] == math.factorial(n)
+        assert [b - a for a, b in zip([0] + b2, b2)] == [
+            commutator_diagonal_value(n, j * n) for j in range(len(b2))
+        ]
