@@ -65,10 +65,6 @@ class BosonPoly:
         return cls({(p, q): Fraction(coeff)})
 
     @classmethod
-    def identity(cls) -> "BosonPoly":
-        return cls.monomial(0, 0)
-
-    @classmethod
     def lowering(cls, n: int = 1) -> "BosonPoly":
         """a^n"""
         return cls.monomial(0, n)
@@ -77,11 +73,6 @@ class BosonPoly:
     def raising(cls, n: int = 1) -> "BosonPoly":
         """a†^n"""
         return cls.monomial(n, 0)
-
-    @classmethod
-    def number(cls) -> "BosonPoly":
-        """a†a"""
-        return cls.monomial(1, 1)
 
     def __eq__(self, other):
         return isinstance(other, BosonPoly) and self.terms == other.terms
@@ -201,13 +192,20 @@ def coefficients(n: int, M: int) -> CoefficientSeries:
 
 
 def taylor_partial_sum(series: CoefficientSeries, r: float) -> float:
-    """Partial sum of the photon-number series at r, accumulated exactly."""
+    """Partial sum of the photon-number series at r, accumulated exactly by Horner's rule.
+
+    The powers m may have any gaps: each step multiplies by r to the gap down
+    to the next lower power.
+    """
     if r < 0:
         raise ValueError("r must be >= 0")
     r_exact = Fraction(r)
-    total = Fraction(0)
-    for m, c in series.entries:
-        total += c * r_exact**m
+    terms = sorted(series.entries, reverse=True)
+    total, power = Fraction(0), terms[0][0] if terms else 0
+    for m, c in terms:
+        total = total * r_exact ** (power - m) + c
+        power = m
+    total *= r_exact**power
     try:
         return float(total)
     except OverflowError:

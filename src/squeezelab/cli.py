@@ -5,14 +5,16 @@ that knows an output format: the library returns numbers, and the three CSV
 tables, the fit and compare JSON and verify's PASS/FAIL lines are all
 written here.  Exit codes: 0 success, 1 usage error, 2 failed verify check,
 3 resource budget exceeded (--M above algebra.MAX_M, 2 n M above
-algebra.MAX_LEVEL, verify's norm check over evolve.MAX_ORACLE_SIZE levels,
-over MAX_ROWS grid rows, or an n = 1 chain too long for the chain solver).
+algebra.MAX_LEVEL, over MAX_ROWS grid rows, or an n = 1 chain too long for
+the chain solver).  verify checks the chain against evolve.expm_state at
+ORACLE_SIZE levels; --levels sizes only the closed-form and positivity checks.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -36,6 +38,8 @@ VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
 # BLAS thread, sweep peaks at 565 MB (19 s), compare at 804 MB (10 min) and
 # verify --check monotonic at 233 MB, so every admitted grid stays under 1 GB.
 MAX_ROWS = 10**6
+ORACLE_SIZE = 64  # levels of the dense oracle that verify checks the chain against
+AMPLITUDE_TOL = 1e-10  # largest chain-oracle amplitude difference that verify accepts
 
 
 class UsageError(ValueError):
@@ -74,7 +78,7 @@ def parse_n_list(spec: str) -> list[int]:
 
 
 def check_args(args) -> None:
-    """Reject out-of-range numbers, and a grid or verify norm check over budget, before any work."""
+    """Reject out-of-range numbers, and an r grid over budget, before any work."""
     for flag, low in (("n", 1), ("M", 1), ("levels", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
@@ -92,16 +96,8 @@ def check_args(args) -> None:
             if evolve.chain_length(n, n_pair[0]) == evolve.chain_length(n, n_pair[1]):
                 raise UsageError(f"--N {args.N} gives the same n={n} chain twice, "
                                  f"as floor((N-1)/n) is equal")
-    if getattr(args, "r", None) and getattr(args, "check", None) in (None, "monotonic", "convex"):
+    if getattr(args, "r", None):
         _r_grid_points(args.r, len(parse_n_list(args.N)) if args.command == "sweep" else 1)
-    if args.command == "verify" and args.check in (None, "norm"):
-        if _norm_check_size(args.levels, order) > evolve.MAX_ORACLE_SIZE:
-            raise BudgetExceededError("N", evolve.MAX_ORACLE_SIZE)
-
-
-def _norm_check_size(levels: int, n: int) -> int:
-    """Truncation of verify's norm check: --levels plus two steps of n, and at least 64."""
-    return max(levels + 2 * n + 4, 64)
 
 
 SWEEP_HEADER = "n,N,r,mean_photon,leakage,norm_error,status"
@@ -260,6 +256,14 @@ def _verify_checks(args):
     """Yield (name, passed, detail) tuples for the requested checks."""
     orders = [args.n] if args.n is not None else VERIFY_ORDERS
     want = args.check
+    r_grid = parse_r_grid(args.r)
+    chain = functools.cache(lambda n: evolve.VacuumSectorPropagator(n, FockDim(ORACLE_SIZE)))
+
+    def oracle_gap(n: int, r: complex) -> float:
+        """Largest |amplitude| difference between the chain at r, on all levels, and the oracle."""
+        gap = evolve.expm_state(SqueezeParams(n, r), FockDim(ORACLE_SIZE))
+        gap[chain(n).levels] -= chain(n).chain_grid([r])[:, 0]
+        return float(np.abs(gap).max())
 
     if want in (None, "closed-form"):
         for n in orders:
@@ -290,24 +294,20 @@ def _verify_checks(args):
 
     if want in (None, "norm"):
         for n in orders:
-            dim = FockDim(_norm_check_size(args.levels, n))
-            amps = evolve.expm_state(SqueezeParams(n, 0.1), dim)
-            error = abs(float(np.linalg.norm(amps)) - 1.0)
-            yield (f"norm-preservation n={n}", error <= 1e-10, f"|norm-1| = {error:.2e}")
+            error = float(chain(n).grid_diagnostics(r_grid)[2].max())
+            gap = oracle_gap(n, 0.1)
+            ok = error <= 1e-10 and gap <= AMPLITUDE_TOL
+            yield (f"norm-preservation n={n}", ok, f"|norm-1| = {error:.2e}, oracle {gap:.2e}")
 
     if want in (None, "phase"):
         for n in orders:
-            dim = FockDim(64)
-            photons = []
-            for theta in (0.0, math.pi / 4, math.pi / 2):
-                r = 0.08 * complex(math.cos(theta), math.sin(theta))
-                probs = np.abs(evolve.expm_state(SqueezeParams(n, r), dim)) ** 2
-                photons.append(float(np.arange(dim.size) @ probs))
-            spread = max(photons) - min(photons)
-            yield (f"phase-invariance n={n}", spread <= 1e-9, f"spread {spread:.2e}")
+            r_values = 0.08 * np.exp(1j * np.array([0, math.pi / 4, math.pi / 2]))
+            spread = float(np.ptp(chain(n).levels @ np.abs(chain(n).chain_grid(r_values)) ** 2))
+            gap = max(oracle_gap(n, r) for r in r_values)
+            ok = spread <= 1e-9 and gap <= AMPLITUDE_TOL
+            yield (f"phase-invariance n={n}", ok, f"spread {spread:.2e}, oracle {gap:.2e}")
 
     if want in (None, "monotonic", "convex"):
-        r_grid = parse_r_grid(args.r) if args.r else parse_r_grid("0:0.5:0.005")
         for n in orders:
             # by default N = n ceil(1000 / n) and N + 1, which give adjacent chains
             N = n * -(-1000 // n)
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--levels", type=int, default=20)
     p.add_argument("--N", default=None, help="truncation pair for monotonicity")
-    p.add_argument("--r", default=None, help="grid as start:stop:step")
+    p.add_argument("--r", default="0:0.5:0.005", help="grid as start:stop:step")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="Taylor partial sum vs truncated numerics")

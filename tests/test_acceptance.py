@@ -171,8 +171,8 @@ def test_criterion_7_theorem_property_suite():
 
 
 def test_criterion_8_numerical_hygiene():
-    with criterion("criterion 8: norm error <= 1e-10 everywhere; dense-oracle "
-                   "agreement <= 1e-10 at N <= 64"):
+    with criterion("criterion 8: norm error <= 1e-10 everywhere; dense-oracle and "
+                   "chain agreement <= 1e-10 at N <= 64"):
         for n, r, size in [(1, 1.0, 400), (2, 0.8, 600), (3, 0.5, 6000), (4, 0.4, 6000)]:
             norm_error = VacuumSectorPropagator(n, FockDim(size)).grid_diagnostics([r])[2]
             assert norm_error[0] <= 1e-10
@@ -183,3 +183,9 @@ def test_criterion_8_numerical_hygiene():
             oracle = expm(K)[:, 0]
             assert np.linalg.norm(w - oracle) <= 1e-10
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-10
+            # the shipped chain, scattered onto all levels, at r and at a complex r
+            prop = VacuumSectorPropagator(n, dim)
+            for z in (r, r * np.exp(1j * np.pi / 4)):
+                chain = np.zeros(size, dtype=complex)
+                chain[prop.levels] = prop.chain_grid([z])[:, 0]
+                assert np.linalg.norm(chain - expm_state(SqueezeParams(n, z), dim)) <= 1e-10

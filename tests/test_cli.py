@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squeezelab
@@ -25,7 +26,6 @@ from squeezelab.cli import (
     parse_r_grid,
     UsageError,
 )
-from squeezelab.evolve import MAX_ORACLE_SIZE
 
 
 def run(capsys, *argv):
@@ -144,6 +144,9 @@ def test_compare_usage_error_writes_no_file(tmp_path, capsys):
     ["sweep", "--r", "0:1:inf"],
     ["compare", "--r", "0:1:-inf"],
     ["verify", "--check", "convex", "--r", "inf:inf:1"],
+    # every check reads --r, so a bad grid is refused whichever check runs
+    ["verify", "--check", "c2", "--r", "nonsense"],
+    ["verify", "--check", "closed-form", "--r", "0:nan:0.1"],
 ])
 def test_out_of_range_values_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -272,26 +275,14 @@ def test_coeffs_budget_exit_code(capsys):
     assert len(out.strip().split("\n")) == 31
 
 
-def test_verify_norm_budget_exit_code(capsys):
-    # the dense oracle is refused before its matrix is built
-    start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "--check", "norm", "--levels", "2100")
-    assert time.perf_counter() - start < 0.5
-    assert code == EXIT_BUDGET and out == ""
-    assert f"budget exceeded: N > {MAX_ORACLE_SIZE}" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "--levels", "2100"],
-    # 2041 + 2 * 4 + 4 = 2053 levels at n = 4, the largest default order
-    ["verify", "--levels", "2041"],
-    ["verify", "--n", "2", "--levels", "2041"],
-])
-def test_verify_over_budget_prints_nothing(capsys, argv):
-    # refused before the first check runs, not after the cheap checks have passed
-    code, out, err = run(capsys, *argv)
-    assert code == EXIT_BUDGET and out == ""
-    assert err == f"error: resource budget exceeded: N > {MAX_ORACLE_SIZE}\n"
+def test_verify_levels_do_not_size_the_oracle(capsys):
+    # --levels sizes only the exact checks; the chain is checked against a fixed 64-level oracle
+    code, out, err = run(capsys, "verify", "--levels", "2100")
+    assert code == EXIT_OK and err == ""
+    for n in (1, 2, 3, 4):
+        assert f"PASS closed-form n={n}" in out
+        assert f"PASS norm-preservation n={n} (" in out
+        assert f"PASS phase-invariance n={n} (" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,15 +320,6 @@ def test_chain_too_long_for_the_solver_exits_with_budget_code(capsys):
     assert code == EXIT_BUDGET and out == ""
     assert err.startswith("error: resource budget exceeded: ") and err.count("\n") == 1
     assert "floating-point range" in err
-
-
-def test_verify_norm_budget_applies_only_to_the_norm_check(capsys):
-    code, out, _ = run(capsys, "verify", "--check", "closed-form", "--levels", "2100", "--n", "1")
-    assert code == EXIT_OK
-    assert "PASS closed-form n=1" in out
-    # n = 1 keeps 2041 + 6 = 2047 levels, inside the cap
-    code, out, _ = run(capsys, "verify", "--check", "norm", "--n", "1", "--levels", "2041")
-    assert code == EXIT_OK and "PASS norm-preservation n=1" in out
 
 
 def test_fit_defaults_tri_squeezed(tmp_path, capsys):
@@ -431,6 +413,32 @@ def test_verify_odd_zero_check_can_fail(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--check", "odd-zero", "--n", "3")
     assert code == EXIT_CHECK_FAILED and err == ""
     assert out == "FAIL odd-coefficients-zero n=3 (odd coefficient m=3 is nonzero: 1/3!)\n"
+
+
+def _absolute(amplitudes, levels):
+    return np.abs(amplitudes)
+
+
+def _unsigned(amplitudes, levels):
+    # undoes the (-1)^(j//2) gauge sign on site j
+    j = np.arange(len(levels))
+    return amplitudes * (1 - 2 * (j // 2 % 2))[:, None]
+
+
+@pytest.mark.parametrize("corrupt, failing", [
+    # at real r every oracle amplitude is positive in this gauge, so only phase can see |.|
+    (_absolute, ["phase"]),
+    (_unsigned, ["norm", "phase"]),
+])
+def test_verify_catches_a_broken_chain(capsys, monkeypatch, corrupt, failing):
+    chain_grid = squeezelab.evolve.VacuumSectorPropagator.chain_grid
+    monkeypatch.setattr(squeezelab.evolve.VacuumSectorPropagator, "chain_grid",
+                        lambda self, r: corrupt(chain_grid(self, r), self.levels))
+    for check in failing:
+        code, out, err = run(capsys, "verify", "--check", check)
+        assert code == EXIT_CHECK_FAILED and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 4 and all(line.startswith("FAIL ") for line in lines)
 
 
 def test_verify_monotonic(capsys):
