@@ -34,9 +34,9 @@ EXIT_BUDGET = 3
 
 VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
 # Most rows one r grid may ask for: points times truncations for sweep, points
-# for compare and verify; all rows are held until written.  At the cap, with one
-# BLAS thread, sweep peaks at 565 MB (19 s), compare at 804 MB (10 min) and
-# verify --check monotonic at 233 MB, so every admitted grid stays under 1 GB.
+# for compare and verify; rows stream out, and only per-r arrays are held.  At the
+# cap, with one BLAS thread, sweep peaks at 86 MB (20 s), compare at 162 MB (5 min)
+# and verify --check monotonic at 146 MB, so every admitted grid stays under 1 GB.
 MAX_ROWS = 10**6
 ORACLE_SIZE = 64  # levels of the dense oracle that verify checks the chain against
 AMPLITUDE_TOL = 1e-10  # largest chain-oracle amplitude difference that verify accepts
@@ -105,9 +105,9 @@ COMPARE_HEADER = "r,numeric_N,numeric_Nprime,taylor,diff_num,diff_taylor,converg
 COEFFS_HEADER = "n,m,numerator,denominator,decimal"
 
 
-def _csv(header: str, rows) -> str:
-    """`header`, then one line per row: floats (numpy's too) to 17 significant
-    digits, booleans in lower case, anything else as str()."""
+def _csv(header: str, rows):
+    """Yield `header`, then one line per row: floats (numpy's too) to 17
+    significant digits, booleans in lower case, anything else as str()."""
     def cell(value) -> str:
         if isinstance(value, (bool, np.bool_)):
             return str(bool(value)).lower()
@@ -115,16 +115,17 @@ def _csv(header: str, rows) -> str:
             return f"{value:.17g}"
         return str(value)
 
-    lines = [header, *(",".join(map(cell, row)) for row in rows)]
-    return "\n".join(lines) + "\n"
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(map(cell, row)) + "\n"
 
 
-def _write(*outputs: tuple[str | None, str]) -> None:
-    """Write each (path, text), to stdout where the path is None or "-".
+def _write(*outputs) -> None:
+    """Write each (path, lines) in turn, to stdout where the path is None or "-".
 
-    Every file is opened before any is written, so when one path cannot be
+    Every file is opened before any line is drawn, so when one path cannot be
     written nothing is: files this call created are removed again, and
-    existing files keep their contents.
+    existing files keep their contents.  The lines stream to their handle.
     """
     new = [path for path, _ in outputs if path not in (None, "-") and not os.path.exists(path)]
     with contextlib.ExitStack() as stack:
@@ -137,18 +138,17 @@ def _write(*outputs: tuple[str | None, str]) -> None:
             for path in filter(os.path.exists, new):
                 os.remove(path)
             raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
-        for handle, (_, text) in zip(handles, outputs):
+        for handle, (_, lines) in zip(handles, outputs):
             if handle is not sys.stdout:
                 handle.truncate(0)
-            handle.write(text)
+            handle.writelines(lines)
 
 
 def cmd_sweep(args) -> int:
     r_grid = parse_r_grid(args.r)
-    rows = []
-    for N in parse_n_list(args.N):
-        stats = evolve.VacuumSectorPropagator(args.n, FockDim(N)).grid_diagnostics(r_grid)
-        rows += [(args.n, N, r, *values, "ok") for r, *values in zip(r_grid, *stats)]
+    stats = {N: evolve.VacuumSectorPropagator(args.n, FockDim(N)).grid_diagnostics(r_grid)
+             for N in parse_n_list(args.N)}  # every N, before the first line is written
+    rows = ((args.n, N, r, *values, "ok") for N in stats for r, *values in zip(r_grid, *stats[N]))
     _write((args.out, _csv(SWEEP_HEADER, rows)))
     return EXIT_OK
 
@@ -208,7 +208,7 @@ def cmd_fit(args) -> int:
         raise UsageError(str(exc)) from exc
     record = {"n": fit.n, "M": len(series.entries), "points_used": fit.points_used,
               "alpha": fit.alpha, "alpha_stderr": fit.alpha_stderr, "radius": fit.radius}
-    _write((args.out, json.dumps(record, indent=2) + "\n"))
+    _write((args.out, [json.dumps(record, indent=2) + "\n"]))
     return EXIT_OK
 
 
@@ -224,13 +224,6 @@ def cmd_compare(args) -> int:
     (photons_a, leak_a, _), (photons_b, leak_b, _) = (
         evolve.VacuumSectorPropagator(args.n, FockDim(N)).grid_diagnostics(r_grid) for N in n_pair
     )
-    rows = []
-    for r, pa, pb, la, lb in zip(r_grid, photons_a, photons_b, leak_a, leak_b):
-        taylor = algebra.taylor_partial_sum(series, r)
-        diffs = (abs(pa - pb), abs(taylor - pa), abs(taylor - pb))
-        converged = (all(d <= evolve.AGREE_TOL for d in diffs)
-                     and la <= evolve.LEAK_TOL and lb <= evolve.LEAK_TOL)
-        rows.append((r, pa, pb, taylor, diffs[0], diffs[1], converged))
     try:
         fit = algebra.fit_exponential(series)
     except ValueError:  # fewer than FIT_POINTS non-zero coefficients
@@ -242,13 +235,23 @@ def cmd_compare(args) -> int:
         "agree_tol": evolve.AGREE_TOL,
         "estimated_radius": fit.radius if fit else None,
         "alpha": fit.alpha if fit else None,
-        # the smallest r > 0 whose row does not converge
-        "first_disagreement_r": next((row[0] for row in rows if row[0] > 0 and not row[-1]), None),
+        # the smallest r > 0 whose row does not converge, found as the rows stream
+        "first_disagreement_r": None,
     }
-    _write(
-        (args.out, _csv(COMPARE_HEADER, rows)),
-        (args.summary_out, json.dumps(summary, indent=2) + "\n"),
-    )
+
+    def rows():
+        for r, pa, pb, la, lb in zip(r_grid, photons_a, photons_b, leak_a, leak_b):
+            taylor = algebra.taylor_partial_sum(series, r)
+            diffs = (abs(pa - pb), abs(taylor - pa), abs(taylor - pb))
+            converged = (all(d <= evolve.AGREE_TOL for d in diffs)
+                         and la <= evolve.LEAK_TOL and lb <= evolve.LEAK_TOL)
+            if r > 0 and not converged and summary["first_disagreement_r"] is None:
+                summary["first_disagreement_r"] = r
+            yield r, pa, pb, taylor, diffs[0], diffs[1], converged
+
+    def summary_text():  # drawn only after every row is written
+        yield json.dumps(summary, indent=2) + "\n"
+    _write((args.out, _csv(COMPARE_HEADER, rows())), (args.summary_out, summary_text()))
     return EXIT_OK
 
 
@@ -259,11 +262,12 @@ def _verify_checks(args):
     r_grid = parse_r_grid(args.r)
     chain = functools.cache(lambda n: evolve.VacuumSectorPropagator(n, FockDim(ORACLE_SIZE)))
 
-    def oracle_gap(n: int, r: complex) -> float:
-        """Largest |amplitude| difference between the chain at r, on all levels, and the oracle."""
+    def oracle_gap(n: int, r: complex) -> tuple[float, float]:
+        """Largest |amplitude| gap of the chain at r, on all levels, to the oracle; oracle <N>."""
         gap = evolve.expm_state(SqueezeParams(n, r), FockDim(ORACLE_SIZE))
+        photons = float(np.arange(ORACLE_SIZE) @ np.abs(gap) ** 2)
         gap[chain(n).levels] -= chain(n).chain_grid([r])[:, 0]
-        return float(np.abs(gap).max())
+        return float(np.abs(gap).max()), photons
 
     if want in (None, "closed-form"):
         for n in orders:
@@ -295,15 +299,16 @@ def _verify_checks(args):
     if want in (None, "norm"):
         for n in orders:
             error = float(chain(n).grid_diagnostics(r_grid)[2].max())
-            gap = oracle_gap(n, 0.1)
+            gap = oracle_gap(n, 0.1)[0]
             ok = error <= 1e-10 and gap <= AMPLITUDE_TOL
             yield (f"norm-preservation n={n}", ok, f"|norm-1| = {error:.2e}, oracle {gap:.2e}")
 
     if want in (None, "phase"):
         for n in orders:
             r_values = 0.08 * np.exp(1j * np.array([0, math.pi / 4, math.pi / 2]))
-            spread = float(np.ptp(chain(n).levels @ np.abs(chain(n).chain_grid(r_values)) ** 2))
-            gap = max(oracle_gap(n, r) for r in r_values)
+            # the chain sees only |r|, so the spread of <N> over the angles is the oracle's
+            gaps, photons = zip(*(oracle_gap(n, r) for r in r_values))
+            spread, gap = float(np.ptp(photons)), max(gaps)
             ok = spread <= 1e-9 and gap <= AMPLITUDE_TOL
             yield (f"phase-invariance n={n}", ok, f"spread {spread:.2e}, oracle {gap:.2e}")
 

@@ -7,11 +7,11 @@ reduces exactly to a real symmetric tridiagonal chain over levels
 S = diag((-1)^j), so only the lambda >= 0 eigenpairs that overlap |0> are
 computed, once per (n, N), by a numpy-only shift-invert Lanczos iteration
 on the even-site block of the squared chain.  A whole grid of r is then two
-real matrix products, cosines for the even sites and sines for the odd
-ones, which the diagnostics square in place without forming complex
-amplitudes.  This is what makes sweeps over hundreds of r values at N ~ 10^4
-cheap.  The module returns arrays; `squeezelab.cli` tabulates them as the
-sweep and compare tables.
+real matrix products, cosines for the even sites and sines for the odd ones,
+which the diagnostics square and sum in place, one 256 KB tile of sites x r
+at a time, without forming complex amplitudes.  This is what makes sweeps
+over hundreds of r values at N ~ 10^4 cheap.  The module returns arrays;
+`squeezelab.cli` tabulates them as the sweep and compare tables.
 
 `expm_state` is the independent oracle for cross-checks at small N: one
 dense Hermitian eigendecomposition of the full generator, sharing no code
@@ -40,8 +40,9 @@ MAX_ORACLE_SIZE = 2048
 # function |g| <= 1 of the Lanczos matrix puts on the newest basis vector,
 # is at most this.
 WINDOW_TOL = 1e-14
-# Entries of the one block that grid_diagnostics reduces at a time (8 MB of real |psi|^2).
-_BLOCK_ENTRIES = 1 << 20
+# Entries of the one tile of sites x values of r that grid_diagnostics reduces
+# at a time (256 KB of real |psi|^2, so it stays in cache between its passes).
+_TILE_ENTRIES = 1 << 15
 
 
 def _forward_solver(diag: np.ndarray, sub: np.ndarray):
@@ -214,17 +215,22 @@ class VacuumSectorPropagator:
         self.eigvals, self.eigvecs, self._weights, self.discarded = _chain_eigensystem(n, dim.size)
         self.levels = n * np.arange(len(self.eigvecs))
 
-    def _real_amplitudes(self, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Chain amplitudes at |r| = mag up to a phase of modulus 1 per site, into `out`.
+    def _real_amplitudes(self, mag: np.ndarray):
+        """fill(start, out): chain amplitudes at |r| = mag on sites start (even), start + 1, ...
 
-        Even sites are V_even (cos(lambda |r|) w) and odd ones V_odd (sin(lambda |r|) w);
-        columns with |r| = 0 are the exact vacuum.
+        They hold up to a phase of modulus 1 per site: V_even (w cos(lambda |r|)) on even sites
+        and V_odd (w sin(lambda |r|)) on odd ones, and the exact vacuum where |r| = 0.
         """
         angles = np.outer(self.eigvals, mag)
-        np.matmul(self.eigvecs[0::2], np.cos(angles) * self._weights[:, None], out=out[0::2])
-        np.matmul(self.eigvecs[1::2], np.sin(angles) * self._weights[:, None], out=out[1::2])
-        out[:, mag == 0] = np.eye(len(out), 1)
-        return out
+        even, odd = (f(angles) * self._weights[:, None] for f in (np.cos, np.sin))
+
+        def fill(start: int, out: np.ndarray) -> np.ndarray:
+            sites = self.eigvecs[start:start + len(out)]
+            np.matmul(sites[0::2], even, out=out[0::2])
+            np.matmul(sites[1::2], odd, out=out[1::2])
+            out[:, mag == 0] = np.eye(len(out), 1, start)  # 1 on site 0, which is row -start
+            return out
+        return fill
 
     def chain_grid(self, r_values) -> np.ndarray:
         """Chain amplitudes for every r in `r_values`, one column per r.
@@ -233,7 +239,7 @@ class VacuumSectorPropagator:
         """
         r = np.asarray(r_values, dtype=complex).reshape(-1)
         j = np.arange(len(self.eigvecs))
-        out = self._real_amplitudes(np.abs(r), np.empty((len(j), len(r))))
+        out = self._real_amplitudes(np.abs(r))(0, np.empty((len(j), len(r))))
         # exp(-i T |r|) e0 is real on even sites and -i times real on odd sites;
         # with the gauge phase (i e^{i arg r})^j that leaves (-1)^(j//2) e^{ij arg r}
         out *= (1.0 - 2.0 * (j // 2 % 2))[:, None]
@@ -249,25 +255,29 @@ class VacuumSectorPropagator:
 
         Leakage sums the chain sites at the top min(max(10, 2n), N - 1) levels:
         the generator couples levels in steps of n, so >= 2n catches boundary
-        reflection.  |amplitude|^2 is the square of the real amplitudes at |r|,
-        formed in place in one buffer that every block of _BLOCK_ENTRIES // L
-        values of r reuses, so memory does not grow with the grid.
+        reflection.  |amplitude|^2 is the square of the real amplitudes at |r|, formed
+        in place, tile by tile, in one buffer of _TILE_ENTRIES (up to _TILE_ENTRIES // 128
+        values of r by as many sites as fit): memory grows with neither chain nor grid.
         """
         mag = np.abs(np.asarray(r_values, dtype=complex).reshape(-1))
-        length = len(self.levels)
         tail = min(max(10, 2 * self.n), self.dim.size - 1)
-        edge = self.levels >= self.dim.size - tail
-        stats = np.empty((3, len(mag)))
-        block = max(1, _BLOCK_ENTRIES // length)
-        buffer = np.empty(length * min(block, len(mag)))
-        for start in range(0, len(mag), block):
-            cols = slice(start, start + block)
-            probs = buffer[:length * len(mag[cols])].reshape(length, -1)
-            np.square(self._real_amplitudes(mag[cols], probs), out=probs)
-            stats[0, cols] = self.levels @ probs
-            stats[1, cols] = probs[edge].sum(axis=0)
-            stats[2, cols] = np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)
-        return tuple(stats)
+        first_edge = -(-(self.dim.size - tail) // self.n)  # first site on the top `tail` levels
+        width = max(1, min(len(mag), _TILE_ENTRIES // 128))
+        height = _TILE_ENTRIES // width & -2  # even, so every tile starts on an even site
+        buffer = np.empty(_TILE_ENTRIES)
+        photons, leakage, norm = np.zeros((3, len(mag)))
+        for first in range(0, len(mag), width):
+            cols = slice(first, first + width)
+            fill = self._real_amplitudes(mag[cols])
+            for start in range(0, len(self.levels), height):
+                levels = self.levels[start:start + height]
+                probs = buffer[:len(levels) * len(mag[cols])].reshape(len(levels), -1)
+                np.square(fill(start, probs), out=probs)
+                photons[cols] += levels @ probs
+                leakage[cols] += probs[max(first_edge - start, 0):].sum(axis=0)
+                norm[cols] += probs.sum(axis=0)
+        np.abs(np.sqrt(norm, out=norm) - 1.0, out=norm)
+        return photons, leakage, norm
 
 
 def expm_state(params: SqueezeParams, dim: FockDim) -> np.ndarray:
@@ -306,7 +316,7 @@ def second_derivative_check(n: int, r: float, dim: FockDim,
     fd = float(photons[2] - 2 * photons[1] + photons[0]) / h**2
     b2 = chain_couplings(n, len(prop.levels))
     commutator = np.array([b - a for a, b in zip([0] + b2, b2)], dtype=float)
-    probs = prop._real_amplitudes(np.array([r], dtype=float), np.empty((len(b2), 1))) ** 2
+    probs = prop._real_amplitudes(np.array([r], dtype=float))(0, np.empty((len(b2), 1))) ** 2
     bulk = 2 * n * float(commutator @ probs[:, 0])
     wall = 2 * n * b2[-1] * float(probs[-1, 0])
     return fd, bulk, wall

@@ -1,8 +1,10 @@
 import argparse
 import ast
+import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -26,6 +28,7 @@ from squeezelab.cli import (
     parse_r_grid,
     UsageError,
 )
+from squeezelab.fock import SqueezeParams
 
 
 def run(capsys, *argv):
@@ -439,6 +442,17 @@ def test_verify_catches_a_broken_chain(capsys, monkeypatch, corrupt, failing):
         assert code == EXIT_CHECK_FAILED and err == ""
         lines = out.splitlines()
         assert len(lines) == 4 and all(line.startswith("FAIL ") for line in lines)
+
+
+def test_verify_phase_spread_comes_from_the_oracle(capsys, monkeypatch):
+    # an oracle whose |r| grows with arg r is not phase-covariant: <N> moves with the angle
+    expm_state = squeezelab.evolve.expm_state
+    monkeypatch.setattr(squeezelab.evolve, "expm_state", lambda params, dim: expm_state(
+        SqueezeParams(params.n, params.r * (1 + 0.1 * abs(math.sin(cmath.phase(params.r))))), dim))
+    code, out, err = run(capsys, "verify", "--check", "phase", "--n", "3")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    match = re.fullmatch(r"FAIL phase-invariance n=3 \(spread (\S+), oracle \S+\)\n", out)
+    assert match and float(match[1]) > 1e-9
 
 
 def test_verify_monotonic(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
 from squeezelab.evolve import (
-    _BLOCK_ENTRIES,
+    _TILE_ENTRIES,
     MAX_ORACLE_SIZE,
     VacuumSectorPropagator,
     certify_truncation_pair,
@@ -275,11 +275,28 @@ def test_sweep_matches_per_r_states(n, N_pair):
         assert abs(err - norm_error(amps)) <= 1e-15
 
 
+# values of r in one column tile of grid_diagnostics
+TILE_WIDTH = _TILE_ENTRIES // 128
+
+
+def assert_diagnostics_match_chain_grid(prop, r_grid, stats):
+    """stats agree with the reductions of the chain_grid columns over every site.
+
+    Row tiles change the order of each sum, so the gates are relative (with an
+    absolute floor for round-off sized leakage), not bit-for-bit.
+    """
+    probs = np.abs(prop.chain_grid(r_grid)) ** 2
+    edge = prop.levels >= prop.dim.size - min(max(10, 2 * prop.n), prop.dim.size - 1)
+    assert stats[0] == pytest.approx(prop.levels @ probs, rel=1e-13, abs=0)
+    assert stats[1] == pytest.approx(probs[edge].sum(axis=0), rel=1e-13, abs=1e-15)
+    assert np.abs(stats[2] - np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)).max() <= 1e-14
+
+
 def test_multi_block_grid_matches_per_column_chain_grid():
-    # L = 2000 sites gives blocks of 524 values of r; 1201 values make three blocks
+    # 1201 values of r make five column tiles of TILE_WIDTH, the last partial
     prop = VacuumSectorPropagator(3, FockDim(6000))
     r_grid = np.linspace(0.0, 1.0, 1201)
-    assert len(r_grid) > 2 * (_BLOCK_ENTRIES // len(prop.levels))
+    assert len(r_grid) > 4 * TILE_WIDTH
     photons, leak, err = prop.grid_diagnostics(r_grid)
     for i in range(0, len(r_grid), 37):
         probs = np.abs(prop.chain_grid([r_grid[i]])[:, 0]) ** 2
@@ -290,50 +307,75 @@ def test_multi_block_grid_matches_per_column_chain_grid():
 
 @pytest.mark.parametrize("size", [6000, 6001])
 def test_grid_diagnostics_equals_reductions_of_chain_grid(size):
-    # L = 2000 and 2001 sites; 1201 values of r from 0 make three blocks, the last partial
+    # L = 2000 and 2001 sites; 1201 values of r from 0 make five column tiles
     prop = VacuumSectorPropagator(3, FockDim(size))
-    block = _BLOCK_ENTRIES // len(prop.levels)
     r_grid = np.linspace(0.0, 1.0, 1201)
-    assert len(r_grid) > 2 * block
     stats = prop.grid_diagnostics(r_grid)
-    edge = prop.levels >= size - 10
-    # BLAS may round a column differently by its place in the matrix, so the
-    # reference is reduced over the same blocks
-    for start in range(0, len(r_grid), block):
-        cols = slice(start, start + block)
-        probs = np.abs(prop.chain_grid(r_grid[cols])) ** 2
-        assert np.array_equal(stats[0][cols], prop.levels @ probs)
-        assert np.array_equal(stats[1][cols], probs[edge].sum(axis=0))
-        assert np.array_equal(stats[2][cols], np.abs(np.sqrt(probs.sum(axis=0)) - 1.0))
+    assert_diagnostics_match_chain_grid(prop, r_grid, stats)
+    # r = 0 is the exact vacuum in every row tile
     assert [s[0] for s in stats] == [0.0, 0.0, 0.0]
+    assert [s[0] for s in prop.grid_diagnostics([0.0, 0j])] == [0.0, 0.0, 0.0]
+    # the diagnostics see only |r|, so a rotated grid gives the bits of its |r| grid
+    for theta in (math.pi / 4, math.pi / 2, math.pi):
+        rotated = r_grid * np.exp(1j * theta)
+        got, want = prop.grid_diagnostics(rotated), prop.grid_diagnostics(np.abs(rotated))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
     mags = np.array([0.05, 0.3, 0.7])
     at_mag = prop.grid_diagnostics(mags)
+    edge = prop.levels >= size - 10
     for theta in (math.pi / 4, math.pi / 2):
-        r = mags * np.exp(1j * theta)
-        for got, want in zip(prop.grid_diagnostics(r), at_mag):
-            assert got == pytest.approx(want, rel=1e-14, abs=0)
         # the phases of the complex amplitudes have modulus 1
-        probs = np.abs(prop.chain_grid(r)) ** 2
+        probs = np.abs(prop.chain_grid(mags * np.exp(1j * theta))) ** 2
         assert prop.levels @ probs == pytest.approx(at_mag[0], rel=1e-14, abs=0)
         assert probs[edge].sum(axis=0) == pytest.approx(at_mag[1], rel=1e-14, abs=0)
         assert probs.sum(axis=0) == pytest.approx(1.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("n, size, points, straddle", [
+    (3, 6001, 201, False),               # odd L = 2001: the last row tile has an odd length
+    (3, 6000, TILE_WIDTH + 45, False),   # a full column tile and a partial one
+    (3, 6000, 1, False),                 # one value of r: one tile holds the whole chain
+    (1, 2000, 2 * TILE_WIDTH, False),    # n = 1 keeps hundreds of eigenpairs
+    (4, 61, 9, False),                   # a chain shorter than one tile
+    # the leakage edge straddles two row tiles: edge sites 1997 | 1998-2000 and 1998-1999 | 2000
+    (3, 6001, 147, True),
+    (3, 6002, 163, True),
+])
+def test_grid_diagnostics_tiles_cover_every_site_and_value(n, size, points, straddle):
+    prop = VacuumSectorPropagator(n, FockDim(size))
+    r_grid = np.linspace(0.0, 1.2, points) if points > 1 else np.array([0.6])
+    stats = prop.grid_diagnostics(r_grid)
+    assert_diagnostics_match_chain_grid(prop, r_grid, stats)
+    if points > 1:
+        assert [s[0] for s in stats] == [0.0, 0.0, 0.0]
+    if straddle:
+        # rows per tile, and the first site on the top 10 levels
+        height = _TILE_ENTRIES // points & -2
+        first_edge = -(-(size - 10) // n)
+        assert first_edge // height < (len(prop.levels) - 1) // height
+        assert first_edge % height
+        # the edge sites carry weight far above round-off, alternately ~1e-5 and ~1e-15
+        assert stats[1].max() > 1e-6
+
+
 def test_grid_diagnostics_memory_is_set_by_the_block_not_the_grid():
-    # one block of L = 2000 sites is 8 MB of real |amplitude|^2, reused by every
-    # block; a whole 8-block grid would be 64 MB
-    prop = VacuumSectorPropagator(3, FockDim(6000))
-    block = _BLOCK_ENTRIES // len(prop.levels)
-    peaks = []
-    for blocks in (2, 8):
-        tracemalloc.start()
-        try:
-            prop.grid_diagnostics(np.linspace(0.0, 1.0, blocks * block))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert 8 << 20 <= peaks[0] <= 12 << 20
-    assert peaks[1] <= peaks[0] + (1 << 20)
+    # one tile is 256 KB of real |amplitude|^2, reused for every site and every r;
+    # only the per-r inputs and outputs grow with the grid, by tens of bytes per r
+    peaks = {}
+    for size in (6000, 60000):
+        prop = VacuumSectorPropagator(3, FockDim(size))
+        for points in (2 * TILE_WIDTH, 8 * TILE_WIDTH):
+            tracemalloc.start()
+            try:
+                prop.grid_diagnostics(np.linspace(0.0, 1.0, points))
+                peaks[len(prop.levels), points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for points in (2 * TILE_WIDTH, 8 * TILE_WIDTH):
+        assert abs(peaks[20000, points] - peaks[2000, points]) <= 16 << 10
+    for length in (2000, 20000):
+        assert peaks[length, 8 * TILE_WIDTH] - peaks[length, 2 * TILE_WIDTH] <= 64 * 6 * TILE_WIDTH
+        assert peaks[length, 8 * TILE_WIDTH] <= 4 * 8 * _TILE_ENTRIES
 
 
 def test_expm_subnormal_r_is_vacuum_without_warning():
