@@ -5,9 +5,10 @@ that knows an output format: the library returns numbers, and the three CSV
 tables, the fit and compare JSON and verify's PASS/FAIL lines are all
 written here.  Exit codes: 0 success, 1 usage error, 2 failed verify check,
 3 resource budget exceeded (--M above algebra.MAX_M, 2 n M above
-algebra.MAX_LEVEL, over MAX_ROWS grid rows, or an n = 1 chain too long for
-the chain solver).  verify checks the chain against evolve.expm_state at
-ORACLE_SIZE levels; --levels sizes only the closed-form and positivity checks.
+algebra.MAX_LEVEL, over MAX_ROWS grid rows or levels, or a chain that leaves
+the floating-point range).  verify checks the chain against evolve.expm_state
+at ORACLE_SIZE levels, so its --n stays below ORACLE_SIZE; --levels sizes only
+the closed-form and positivity checks.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ EXIT_CHECK_FAILED = 2
 EXIT_BUDGET = 3
 
 VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
-# Most rows one r grid may ask for: points times truncations for sweep, points
-# for compare and verify; rows stream out, and only per-r arrays are held.  At the
-# cap, with one BLAS thread, sweep peaks at 86 MB (20 s), compare at 162 MB (5 min)
-# and verify --check monotonic at 146 MB, so every admitted grid stays under 1 GB.
+# Most rows one run may ask for: points times truncations for sweep, points for compare
+# and verify, and verify's levels 0..--levels; rows stream out, and only per-r arrays are held.
+# At the cap, with one BLAS thread, sweep peaks at 86 MB (20 s), compare at 162 MB (5 min),
+# verify --check monotonic at 117 MB and --check closed-form --n 4 at 215 MB (26 s): under 1 GB.
 MAX_ROWS = 10**6
 ORACLE_SIZE = 64  # levels of the dense oracle that verify checks the chain against
 AMPLITUDE_TOL = 1e-10  # largest chain-oracle amplitude difference that verify accepts
@@ -61,10 +62,10 @@ def _r_grid_points(spec: str, rows_per_point: int = 1) -> tuple[float, float, in
     return start, step, int(span) + 1
 
 
-def parse_r_grid(spec: str) -> list[float]:
-    """Parse 'start:stop:step' into an inclusive ascending grid."""
+def parse_r_grid(spec: str) -> np.ndarray:
+    """Parse 'start:stop:step' into an inclusive ascending float array."""
     start, step, count = _r_grid_points(spec)
-    return [start + step * i for i in range(count)]
+    return start + step * np.arange(count)
 
 
 def parse_n_list(spec: str) -> list[int]:
@@ -83,6 +84,10 @@ def check_args(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise UsageError(f"--{flag} must be >= {low}, got {value}")
+    if args.command == "verify" and args.n is not None and args.n >= ORACLE_SIZE:
+        raise UsageError(f"verify --n must be below its oracle's {ORACLE_SIZE} levels: {args.n}")
+    if getattr(args, "levels", 0) + 1 > MAX_ROWS:
+        raise BudgetExceededError("levels", MAX_ROWS)
     orders = [args.n] if args.n is not None else VERIFY_ORDERS
     order = max(orders)
     if getattr(args, "N", None) and parse_n_list(args.N)[0] <= order:
@@ -319,21 +324,14 @@ def _verify_checks(args):
             n_pair = parse_n_list(args.N) if args.N else [N, N + 1]
             r_max, photons = evolve.certify_truncation_pair(n, (n_pair[0], n_pair[1]), r_grid)
             # r_grid is ascending, so the certified points are a prefix of it
-            certified = [r for r in r_grid if r <= r_max]
-            values = list(photons[:len(certified)])
+            values = photons[:np.searchsorted(r_grid, r_max, side="right")]
             if want in (None, "monotonic"):
-                mono = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-                yield (
-                    f"monotonic n={n}", mono,
-                    f"certified region r <= {r_max:g} ({len(certified)} points)",
-                )
+                mono = bool(np.all(values[1:] >= values[:-1] - 1e-12))
+                yield (f"monotonic n={n}", mono,
+                       f"certified region r <= {r_max:g} ({len(values)} points)")
             if want in (None, "convex"):
-                scale = max([abs(v) for v in values] + [1.0])
-                second = [
-                    values[i + 1] - 2 * values[i] + values[i - 1]
-                    for i in range(1, len(values) - 1)
-                ]
-                convex = all(s >= -1e-8 * scale for s in second)
+                second = values[2:] - 2 * values[1:-1] + values[:-2]
+                convex = bool(np.all(second >= -1e-8 * np.abs(values).max(initial=1.0)))
                 yield (f"convex n={n}", convex, f"{len(second)} interior points")
 
 

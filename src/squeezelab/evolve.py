@@ -53,13 +53,11 @@ def _forward_solver(diag: np.ndarray, sub: np.ndarray):
     vector operations.  The running product of -sub[k-1] / diag[k] must stay
     in floating-point range.  For the chain's systems it moves by at most a
     power of the chain length, except for n = 1, where it falls like
-    exp(-sqrt(N)): near N = 5 10^5 it raises :class:`BudgetExceededError`.
+    exp(-sqrt(N)): near N = 5 10^5 it underflows, and 1 / (diag * scale)
+    divides by zero, which VacuumSectorPropagator refuses.
     """
     scale = np.cumprod(np.concatenate(([1.0], -sub / diag[1:])))
-    with np.errstate(divide="ignore", over="ignore"):
-        inverse = 1.0 / (diag * scale)
-    if not np.isfinite(inverse).all():
-        raise BudgetExceededError(f"{len(diag)}-site bidiagonal solve", "floating-point range")
+    inverse = 1.0 / (diag * scale)
 
     def solve(x: np.ndarray) -> np.ndarray:
         shape = (-1,) + (1,) * (x.ndim - 1)
@@ -212,7 +210,13 @@ class VacuumSectorPropagator:
             raise ValueError(f"truncation {dim.size} must exceed squeezing order {n}")
         self.n = n
         self.dim = dim
-        self.eigvals, self.eigvecs, self._weights, self.discarded = _chain_eigensystem(n, dim.size)
+        try:  # underflow stays quiet: the bidiagonal solves rely on it
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                chain = _chain_eigensystem(n, dim.size)
+        except (FloatingPointError, OverflowError) as exc:
+            sites = chain_length(n, dim.size)
+            raise BudgetExceededError(f"{sites}-site chain", "floating-point range") from exc
+        self.eigvals, self.eigvecs, self._weights, self.discarded = chain
         self.levels = n * np.arange(len(self.eigvecs))
 
     def _real_amplitudes(self, mag: np.ndarray):
@@ -259,7 +263,7 @@ class VacuumSectorPropagator:
         in place, tile by tile, in one buffer of _TILE_ENTRIES (up to _TILE_ENTRIES // 128
         values of r by as many sites as fit): memory grows with neither chain nor grid.
         """
-        mag = np.abs(np.asarray(r_values, dtype=complex).reshape(-1))
+        mag = np.abs(np.asarray(r_values).reshape(-1))
         tail = min(max(10, 2 * self.n), self.dim.size - 1)
         first_edge = -(-(self.dim.size - tail) // self.n)  # first site on the top `tail` levels
         width = max(1, min(len(mag), _TILE_ENTRIES // 128))
@@ -332,16 +336,12 @@ def certify_truncation_pair(n: int, N_pair: tuple[int, int], r_grid) -> tuple[fl
     """
     if chain_length(n, N_pair[0]) == chain_length(n, N_pair[1]):
         raise ValueError(f"truncations {N_pair[0]} and {N_pair[1]} give the same order-{n} chain")
-    r_grid = sorted(float(r) for r in r_grid)
+    r_grid = np.sort(np.asarray(r_grid, dtype=float))
     (photons_a, leak_a, _), (photons_b, leak_b, _) = (
         VacuumSectorPropagator(n, FockDim(int(N))).grid_diagnostics(r_grid) for N in N_pair
     )
-    best = 0.0
-    for r, pa, pb, la, lb in zip(r_grid, photons_a, photons_b, leak_a, leak_b):
-        if la > LEAK_TOL or lb > LEAK_TOL:
-            break
-        scale = max(abs(pa), abs(pb), 1e-30)
-        if r > 0 and abs(pa - pb) / scale > AGREE_RTOL:
-            break
-        best = r
-    return best, photons_a
+    scale = np.maximum(np.maximum(np.abs(photons_a), np.abs(photons_b)), 1e-30)
+    fails = (leak_a > LEAK_TOL) | (leak_b > LEAK_TOL)
+    fails |= np.abs(photons_a - photons_b) / scale > AGREE_RTOL
+    certified = int(np.argmax(fails)) if fails.any() else len(r_grid)
+    return float(r_grid[certified - 1]) if certified else 0.0, photons_a

@@ -39,8 +39,14 @@ def run(capsys, *argv):
 
 def test_parse_r_grid():
     grid = parse_r_grid("0:1:0.25")
-    assert grid == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert parse_r_grid("0:0:1") == [0.0]
+    assert grid.dtype == np.float64
+    assert grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert parse_r_grid("0:0:1").tolist() == [0.0]
+    # the array holds the doubles start + step * i, bit for bit
+    start, step = 0.3, 0.0007
+    grid = parse_r_grid(f"{start}:0.7:{step}")
+    assert len(grid) == 572
+    assert grid.tobytes() == np.array([start + step * i for i in range(572)]).tobytes()
     with pytest.raises(UsageError):
         parse_r_grid("1:0:0.1")
     with pytest.raises(UsageError):
@@ -150,6 +156,10 @@ def test_compare_usage_error_writes_no_file(tmp_path, capsys):
     # every check reads --r, so a bad grid is refused whichever check runs
     ["verify", "--check", "c2", "--r", "nonsense"],
     ["verify", "--check", "closed-form", "--r", "0:nan:0.1"],
+    # verify compares the chain with a 64-level oracle, so n must stay below 64
+    ["verify", "--n", "64"],
+    ["verify", "--n", "241"],
+    ["verify", "--n", "2000", "--check", "positivity"],
 ])
 def test_out_of_range_values_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -313,16 +323,22 @@ def test_row_cap_counts_points_times_truncations(capsys, monkeypatch):
         (("sweep", "--r", "0:0.5:0.1", "--N", "10,11"), EXIT_BUDGET),
         (("compare", "--r", "0:0.9:0.1", "--N", "30,31", "--M", "5"), EXIT_OK),
         (("compare", "--r", "0:1:0.1", "--N", "30,31", "--M", "5"), EXIT_BUDGET),
+        # positivity evaluates levels 0..--levels, one row each
+        (("verify", "--check", "positivity", "--n", "1", "--r", "0:0:1", "--levels", "9"), EXIT_OK),
+        (("verify", "--check", "positivity", "--n", "1", "--r", "0:0:1", "--levels", "10"),
+         EXIT_BUDGET),
     ):
         assert run(capsys, *argv)[0] == code
 
 
 def test_chain_too_long_for_the_solver_exits_with_budget_code(capsys):
-    # at n = 1 the chain's bidiagonal solves leave floating-point range near N = 5 10^5
-    code, out, err = run(capsys, "sweep", "--n", "1", "--N", "600000", "--r", "0:0.1:0.1")
-    assert code == EXIT_BUDGET and out == ""
-    assert err.startswith("error: resource budget exceeded: ") and err.count("\n") == 1
-    assert "floating-point range" in err
+    # at n = 1 the chain's bidiagonal solves leave floating-point range near N = 5 10^5;
+    # at n = 50 and n = 90 the chain's Lanczos solve does, at N = 3000
+    for n, size in ((1, 600_000), (50, 3000), (90, 3000)):
+        code, out, err = run(capsys, "sweep", "--n", str(n), "--N", str(size), "--r", "0:0.1:0.1")
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("error: resource budget exceeded: ") and err.count("\n") == 1
+        assert "floating-point range" in err
 
 
 def test_fit_defaults_tri_squeezed(tmp_path, capsys):
@@ -460,6 +476,11 @@ def test_verify_monotonic(capsys):
                        "--N", "1002,1003", "--r", "0:0.3:0.01")
     assert code == EXIT_OK
     assert "PASS monotonic n=3" in out
+    # the certified points are the grid's prefix that ends at r_max
+    match = re.fullmatch(r"PASS monotonic n=3 \(certified region r <= (\S+) \((\d+) points\)\)\n",
+                         out)
+    points = int(match[2])
+    assert points > 2 and match[1] == f"{parse_r_grid('0:0.3:0.01')[points - 1]:g}"
 
 
 def test_compare_all_converged_below_radius(tmp_path, capsys):

@@ -11,6 +11,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from squeezelab.evolve import (
     _TILE_ENTRIES,
+    LEAK_TOL,
     MAX_ORACLE_SIZE,
     VacuumSectorPropagator,
     certify_truncation_pair,
@@ -251,9 +252,12 @@ def test_window_grows_by_quarters_and_falls_back_to_full_chain():
 
 
 def test_chain_too_long_for_the_unrolled_solve_is_refused():
-    # at n = 1 the Cholesky recurrence's running product falls like exp(-sqrt(N))
-    with pytest.raises(BudgetExceededError, match="floating-point range"):
-        VacuumSectorPropagator(1, FockDim(600_000))
+    # at n = 1 the Cholesky recurrence's running product falls like exp(-sqrt(N));
+    # at n = 50 a shift-invert solve underflows to the zero vector, and at n = 90
+    # the couplings b_j^2 are too large for a double
+    for n, size in ((1, 600_000), (50, 3000), (90, 3000)):
+        with pytest.raises(BudgetExceededError, match="floating-point range"):
+            VacuumSectorPropagator(n, FockDim(size))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -554,6 +558,35 @@ def test_converged_region_zero_always_qualifies():
     assert certify_truncation_pair(3, (501, 502), [0.0])[0] == 0.0
     with pytest.raises(ValueError):
         certify_truncation_pair(3, (500, 500), [0.0])
+
+
+@pytest.mark.parametrize("r_grid,photons_b,leak_a,leak_b,r_max", [
+    # every point agrees: the whole grid is certified
+    ([0.0, 0.1, 0.2, 0.3], [1, 2, 3, 4], [0] * 4, [0] * 4, 0.3),
+    # the point after the first failure would pass on its own, but is not certified
+    ([0.0, 0.1, 0.2, 0.3, 0.4], [1, 2, 3.1, 4, 5], [0] * 5, [0] * 5, 0.1),
+    # a leak at only one of the two truncations fails the point; LEAK_TOL itself does not
+    ([0.0, 0.1, 0.2, 0.3], [1, 2, 3, 4], [LEAK_TOL, 0, 2 * LEAK_TOL, 0], [0] * 4, 0.1),
+    ([0.0, 0.1, 0.2, 0.3], [1, 2, 3, 4], [0] * 4, [0, LEAK_TOL, 0, 2 * LEAK_TOL], 0.2),
+    # a first point above r = 0 that fails certifies nothing
+    ([0.1, 0.2], [1.5, 2], [0] * 2, [0] * 2, 0.0),
+])
+def test_certified_region_is_the_prefix_before_the_first_failure(
+        monkeypatch, r_grid, photons_b, leak_a, leak_b, r_max):
+    # hand-made diagnostics at N = 10 and 11 on the sorted grid; photons at N = 10 are 1, 2, ...
+    photons_a = 1.0 + np.arange(len(r_grid))
+    stats = {10: (photons_a, leak_a), 11: (photons_b, leak_b)}
+
+    def grid_diagnostics(self, r_values):
+        assert isinstance(r_values, np.ndarray) and np.array_equal(r_values, r_grid)
+        photons, leakage = stats[self.dim.size]
+        return np.array(photons, float), np.array(leakage, float), np.zeros(len(r_grid))
+
+    monkeypatch.setattr(VacuumSectorPropagator, "grid_diagnostics", grid_diagnostics)
+    # an unsorted list is sorted first, so it gives the same radius and photons as the array
+    for grid in (np.array(r_grid), r_grid[::-1]):
+        top, photons = certify_truncation_pair(1, (10, 11), grid)
+        assert top == r_max and np.array_equal(photons, photons_a)
 
 
 @pytest.mark.parametrize("n,N_pair", [(3, (4000, 4001)), (4, (1001, 1004))])
