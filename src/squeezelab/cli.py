@@ -2,13 +2,13 @@
 
 Subcommands: sweep, coeffs, fit, verify, compare.  This is the one module
 that knows an output format: the library returns numbers, and the three CSV
-tables, the fit and compare JSON and verify's PASS/FAIL lines are all
-written here.  Exit codes: 0 success, 1 usage error, 2 failed verify check,
-3 resource budget exceeded (--M above algebra.MAX_M, 2 n M above
-algebra.MAX_LEVEL, over MAX_ROWS grid rows or levels, or a chain that leaves
-the floating-point range).  verify checks the chain against evolve.expm_state
-at ORACLE_SIZE levels, so its --n stays below ORACLE_SIZE; --levels sizes only
-the closed-form and positivity checks.
+tables, the fit and compare JSON and verify's PASS/FAIL lines are all written
+here.  Exit codes: 0 success, 1 usage error, 2 failed verify check, 3 resource
+budget exceeded (--M above algebra.MAX_M, 2 n M above algebra.MAX_LEVEL, over
+MAX_ROWS grid rows or levels, a chain build over evolve.MAX_CHAIN_BYTES, or a
+chain out of floating-point range).  verify checks the chain against
+evolve.expm_state at ORACLE_SIZE levels, so its --n stays below ORACLE_SIZE;
+--levels sizes only the closed-form and positivity checks.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -41,6 +42,7 @@ VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
 MAX_ROWS = 10**6
 ORACLE_SIZE = 64  # levels of the dense oracle that verify checks the chain against
 AMPLITUDE_TOL = 1e-10  # largest chain-oracle amplitude difference that verify accepts
+_CSV_BLOCK = 1 << 12  # rows that _csv formats at once, column by column
 
 
 class UsageError(ValueError):
@@ -110,19 +112,16 @@ COMPARE_HEADER = "r,numeric_N,numeric_Nprime,taylor,diff_num,diff_taylor,converg
 COEFFS_HEADER = "n,m,numerator,denominator,decimal"
 
 
-def _csv(header: str, rows):
-    """Yield `header`, then one line per row: floats (numpy's too) to 17
-    significant digits, booleans in lower case, anything else as str()."""
-    def cell(value) -> str:
-        if isinstance(value, (bool, np.bool_)):
-            return str(bool(value)).lower()
-        if isinstance(value, (float, np.floating)):
-            return f"{value:.17g}"
-        return str(value)
+def _floats(values: np.ndarray) -> list[str]:
+    """Each value to 17 significant digits, the one float format of every table."""
+    return [f"{x:.17g}" for x in values.tolist()]
 
+
+def _csv(header: str, blocks):
+    """Yield `header`, then the rows of each block: columns of strings (or repeats) zipped."""
     yield header + "\n"
-    for row in rows:
-        yield ",".join(map(cell, row)) + "\n"
+    for columns in blocks:
+        yield "".join(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _write(*outputs) -> None:
@@ -153,8 +152,10 @@ def cmd_sweep(args) -> int:
     r_grid = parse_r_grid(args.r)
     stats = {N: evolve.VacuumSectorPropagator(args.n, FockDim(N)).grid_diagnostics(r_grid)
              for N in parse_n_list(args.N)}  # every N, before the first line is written
-    rows = ((args.n, N, r, *values, "ok") for N in stats for r, *values in zip(r_grid, *stats[N]))
-    _write((args.out, _csv(SWEEP_HEADER, rows)))
+    blocks = ((repeat(str(args.n)), repeat(str(N)),
+               *(_floats(a[first:first + _CSV_BLOCK]) for a in (r_grid, *stats[N])), repeat("ok"))
+              for N in stats for first in range(0, len(r_grid), _CSV_BLOCK))
+    _write((args.out, _csv(SWEEP_HEADER, blocks)))
     return EXIT_OK
 
 
@@ -173,8 +174,9 @@ def _decimal(c: Fraction) -> str:
 
 def cmd_coeffs(args) -> int:
     series = algebra.coefficients(args.n, args.M)
-    rows = [(series.n, m, c.numerator, c.denominator, _decimal(c)) for m, c in series.entries]
-    _write((args.out, _csv(COEFFS_HEADER, rows)))
+    rows = [(str(series.n), str(m), str(c.numerator), str(c.denominator), _decimal(c))
+            for m, c in series.entries]
+    _write((args.out, _csv(COEFFS_HEADER, [zip(*rows)])))
     return EXIT_OK
 
 
@@ -244,19 +246,22 @@ def cmd_compare(args) -> int:
         "first_disagreement_r": None,
     }
 
-    def rows():
-        for r, pa, pb, la, lb in zip(r_grid, photons_a, photons_b, leak_a, leak_b):
-            taylor = algebra.taylor_partial_sum(series, r)
-            diffs = (abs(pa - pb), abs(taylor - pa), abs(taylor - pb))
-            converged = (all(d <= evolve.AGREE_TOL for d in diffs)
-                         and la <= evolve.LEAK_TOL and lb <= evolve.LEAK_TOL)
-            if r > 0 and not converged and summary["first_disagreement_r"] is None:
-                summary["first_disagreement_r"] = r
-            yield r, pa, pb, taylor, diffs[0], diffs[1], converged
+    def blocks():
+        for first in range(0, len(r_grid), _CSV_BLOCK):
+            r, pa, pb, la, lb = (a[first:first + _CSV_BLOCK]
+                                 for a in (r_grid, photons_a, photons_b, leak_a, leak_b))
+            taylor = np.array([algebra.taylor_partial_sum(series, x) for x in r.tolist()])
+            diffs = np.abs(pa - pb), np.abs(taylor - pa), np.abs(taylor - pb)
+            converged = ((np.max(diffs, axis=0) <= evolve.AGREE_TOL)
+                         & (la <= evolve.LEAK_TOL) & (lb <= evolve.LEAK_TOL))
+            if summary["first_disagreement_r"] is None:
+                summary["first_disagreement_r"] = next(iter(r[~converged & (r > 0)].tolist()), None)
+            yield (*map(_floats, (r, pa, pb, taylor, *diffs[:2])),
+                   ["true" if c else "false" for c in converged.tolist()])
 
     def summary_text():  # drawn only after every row is written
         yield json.dumps(summary, indent=2) + "\n"
-    _write((args.out, _csv(COMPARE_HEADER, rows())), (args.summary_out, summary_text()))
+    _write((args.out, _csv(COMPARE_HEADER, blocks())), (args.summary_out, summary_text()))
     return EXIT_OK
 
 
@@ -327,12 +332,13 @@ def _verify_checks(args):
             values = photons[:np.searchsorted(r_grid, r_max, side="right")]
             if want in (None, "monotonic"):
                 mono = bool(np.all(values[1:] >= values[:-1] - 1e-12))
-                yield (f"monotonic n={n}", mono,
-                       f"certified region r <= {r_max:g} ({len(values)} points)")
+                yield (f"monotonic n={n}", mono, f"certified region r <= {r_max:g} "
+                       f"({len(values)} points{', vacuous' * (len(values) < 2)})")
             if want in (None, "convex"):
                 second = values[2:] - 2 * values[1:-1] + values[:-2]
                 convex = bool(np.all(second >= -1e-8 * np.abs(values).max(initial=1.0)))
-                yield (f"convex n={n}", convex, f"{len(second)} interior points")
+                yield (f"convex n={n}", convex,
+                       f"{len(second)} interior points{', vacuous' * (len(second) == 0)}")
 
 
 def cmd_verify(args) -> int:

@@ -1,17 +1,17 @@
 """Evolution of the vacuum under exp(r a†^n - r* a^n) and convergence diagnostics.
 
 Vacuum evolution has one representation, :class:`VacuumSectorPropagator`.
-The generator couples Fock levels in steps of n, so acting on |0> it
-reduces exactly to a real symmetric tridiagonal chain over levels
-0, n, 2n, ...  Its eigenpairs come in pairs (lambda, v), (-lambda, S v) with
-S = diag((-1)^j), so only the lambda >= 0 eigenpairs that overlap |0> are
-computed, once per (n, N), by a numpy-only shift-invert Lanczos iteration
-on the even-site block of the squared chain.  A whole grid of r is then two
-real matrix products, cosines for the even sites and sines for the odd ones,
-which the diagnostics square and sum in place, one 256 KB tile of sites x r
-at a time, without forming complex amplitudes.  This is what makes sweeps
-over hundreds of r values at N ~ 10^4 cheap.  The module returns arrays;
-`squeezelab.cli` tabulates them as the sweep and compare tables.
+The generator couples Fock levels in steps of n, so acting on |0> it reduces
+exactly to a real symmetric tridiagonal chain over levels 0, n, 2n, ...  Its
+eigenpairs come in pairs (lambda, v), (-lambda, S v) with S = diag((-1)^j),
+so only the lambda >= 0 eigenpairs that overlap |0> are computed, once per
+(n, N), by a numpy-only shift-invert Lanczos iteration on the even-site block
+of the squared chain, grown until its Ritz values hold |0> to WINDOW_TOL.  A
+grid of r is then two real matrix products, cosines for the even sites and
+sines for the odd ones, which the diagnostics square and sum in place, one
+256 KB tile of sites x r at a time, without forming complex amplitudes.  This
+makes sweeps over hundreds of r values at N ~ 10^4 cheap.  The module returns
+arrays; `squeezelab.cli` tabulates them as the sweep and compare tables.
 
 `expm_state` is the independent oracle for cross-checks at small N: one
 dense Hermitian eigendecomposition of the full generator, sharing no code
@@ -38,8 +38,11 @@ MAX_ORACLE_SIZE = 2048
 
 # Stop growing the Krylov basis once eta, the largest coefficient that any
 # function |g| <= 1 of the Lanczos matrix puts on the newest basis vector,
-# is at most this.
-WINDOW_TOL = 1e-14
+# is at most this (a basis stopped at 1e-14 left norm errors near 1e-15).
+WINDOW_TOL = 1e-15
+# Bytes a chain build may hold in Krylov basis, L x (m + 1) eigenvectors and Ritz
+# temporaries: at the cap, n = 1 at N = 23500 peaks at 416 MB RSS (10 s, os.wait4).
+MAX_CHAIN_BYTES = 1 << 28
 # Entries of the one tile of sites x values of r that grid_diagnostics reduces
 # at a time (256 KB of real |psi|^2, so it stays in cache between its passes).
 _TILE_ENTRIES = 1 << 15
@@ -74,19 +77,28 @@ def _shifted_inverse(d: np.ndarray, s: np.ndarray, size: int, shift: float):
     g_k = shift + s_{k-1}^2 g_{k-1} / c_{k-1}^2, a sum of positive terms, so
     they keep full relative accuracy where the textbook recurrence cancels.
     """
-    d2 = np.zeros(size)
-    d2[:len(d)] = d * d
-    pivots = np.empty(size)
-    g = shift
-    pivots[0] = d2[0] + g
-    for k in range(1, size):
-        g = shift + s[k - 1] ** 2 * g / pivots[k - 1]
-        pivots[k] = d2[k] + g
+    d2 = (d * d).tolist() + [0.0] * (size - len(d))  # a scalar loop runs faster on floats
+    pivots, g = [d2[0] + shift], shift
+    for d2_k, s_k in zip(d2[1:], s.tolist()):
+        g = shift + s_k ** 2 * g / pivots[-1]
+        pivots.append(d2_k + g)
     c = np.sqrt(pivots)
     sub = s[:size - 1] * d[:size - 1] / c[:-1]  # C[k, k-1]
     lower = _forward_solver(c, sub)
     upper = _forward_solver(c[::-1], sub[::-1])  # C^T, solved from the last row
     return lambda x: upper(lower(x)[::-1])[::-1]
+
+
+def _log_eta(lanczos: np.ndarray) -> float:
+    """log eta from the eigenvalues theta alone: |S_0i S_{m-1,i}| = prod_k beta_k /
+    prod_{j != i} |theta_i - theta_j| (Parlett, The Symmetric Eigenvalue Problem, ch. 7)."""
+    theta = np.linalg.eigvalsh(lanczos)
+    gaps = np.abs(theta[:, None] - theta)
+    np.fill_diagonal(gaps, 1.0)
+    if not (gaps.all() and np.diag(lanczos, 1).all()):
+        return -np.inf  # an estimate of 0 sends the build to the eigenvector test
+    terms = np.log(np.diag(lanczos, 1)).sum() - np.log(gaps, out=gaps).sum(axis=1)
+    return float(terms.max() + np.log(np.exp(terms - terms.max()).sum()))
 
 
 def chain_length(n: int, size: int) -> int:
@@ -119,13 +131,15 @@ def _chain_eigensystem(n: int, size: int):
     recurrence and then one full Gram-Schmidt pass against the basis (and
     z), repeated only when that pass shrinks the vector below 1/sqrt(2) of
     its length (the DGKS test: Daniel, Gragg, Kaufman & Stewart, Math.
-    Comp. 30, 772, 1976).  The basis starts at 32 vectors and grows by a
-    quarter, at least 16, until eta = sum_i |S_0i S_{m-1,i}| over the
-    eigenvectors S of the Lanczos matrix is at most WINDOW_TOL, or until
-    it spans the space.  Every Ritz pair is kept.  Each Ritz vector y gives
-    the odd sites x = lambda B^+ y and lambda = 1 / |B^+ y| by one forward
-    B solve, which damps the rounding in y where B^T y / lambda would
-    amplify it.
+    Comp. 30, 772, 1976).  Up to 32 even sites are solved whole; a longer basis
+    starts at 8 vectors and grows by a quarter, at least 8, until eta =
+    sum_i |S_0i S_{m-1,i}| over the eigenvectors S of the Lanczos matrix is at
+    most WINDOW_TOL.  Tests estimate eta from the Ritz values, and a step ends
+    10% past where the secant of two estimates below 1e-3 crosses WINDOW_TOL.
+    One eigensolve confirms eta and gives the Ritz vectors, all kept.  Each
+    Ritz vector y gives the odd sites x = lambda B^+ y and lambda = 1 / |B^+ y|
+    by one forward B solve, which damps the rounding in y where B^T y / lambda
+    would amplify it.
 
     Returns (eigenvalues, eigenvectors as C-ordered columns, their weights
     w = 2 v_0, or z_0 for the zero mode, discarded = eta, or 0 once the
@@ -135,7 +149,7 @@ def _chain_eigensystem(n: int, size: int):
     length = len(b) + 1
     n_even, n_odd = length - length // 2, length // 2
     d, s = b[0::2], b[1::2]  # B[m, m] = d[m], B[m, m-1] = s[m-1]
-    shift_invert = _shifted_inverse(d, s, n_even, b[0] ** 2)
+    shift_invert = _shifted_inverse(d, s, n_even, float(b[0]) ** 2)
     locked = length % 2  # an odd chain's zero mode z leads the basis
     if locked:
         zero_mode = np.zeros(n_even)
@@ -150,9 +164,11 @@ def _chain_eigensystem(n: int, size: int):
     else:
         basis = np.eye(1, n_even)
     dim = n_even - locked
-    alpha, beta = [], []
-    m = min(32, dim)
+    alpha, beta, last = [], [], None
+    m = dim if dim <= 32 else 8  # a short chain is solved whole
     while True:
+        if 8 * ((locked + 1 + m) * n_even + length * (m + 1) + 3 * m * m) > MAX_CHAIN_BYTES:
+            raise BudgetExceededError(f"{length}-site chain", f"{MAX_CHAIN_BYTES >> 20} MB")
         basis = np.concatenate([basis, np.empty((m - len(alpha), n_even))])
         for k in range(len(alpha), m):
             row = locked + k
@@ -171,11 +187,19 @@ def _chain_eigensystem(n: int, size: int):
                 beta.append(norm)
                 basis[row + 1] = w / norm
         lanczos = np.diag(alpha) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
-        S = np.linalg.eigh(lanczos)[1]
-        eta = float(np.abs(S[0] * S[-1]).sum())
-        if eta <= WINDOW_TOL or m == dim:
-            break
-        m = min(m + max(16, m // 4), dim)
+        log_eta = -np.inf if m == dim else _log_eta(lanczos)
+        if log_eta <= np.log(WINDOW_TOL):
+            S = np.linalg.eigh(lanczos)[1]  # the one full eigensolve confirms eta
+            eta = float(np.abs(S[0] * S[-1]).sum())
+            if eta <= WINDOW_TOL or m == dim:
+                break
+            log_eta = np.log(eta)
+        step = max(8, m // 4)
+        if last and log_eta < last[1] < np.log(1e-3):  # 10% past the secant's crossing
+            ahead = (log_eta - np.log(WINDOW_TOL)) * (m - last[0]) / (last[1] - log_eta)
+            step = min(step, max(4, int(1.1 * ahead) + 2))
+        last = m, log_eta
+        m = min(m + step, dim)
     V = np.empty((length, m + locked))
     # Ritz vectors y on the even sites, largest Ritz value (smallest lambda) first
     V[0::2, :m] = basis[locked:locked + m].T @ S[:, ::-1]

@@ -341,6 +341,36 @@ def test_chain_too_long_for_the_solver_exits_with_budget_code(capsys):
         assert "floating-point range" in err
 
 
+def test_chain_build_over_its_memory_cap_exits_with_budget_code(capsys, monkeypatch):
+    argv = ("sweep", "--n", "1", "--N", "2000", "--r", "0:0.1:0.1")
+    assert run(capsys, *argv)[0] == EXIT_OK
+    # the (1, 2000) build keeps 246 Ritz pairs, about 7 MB of basis, eigenvectors and Ritz
+    # temporaries; at a 4 MB cap a growth step is refused before it allocates
+    monkeypatch.setattr(squeezelab.evolve, "MAX_CHAIN_BYTES", 1 << 22)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: resource budget exceeded: 2000-site chain > 4 MB\n"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_gated_workloads_pass_the_benchmark_output_check(capsys):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from check import check_output
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    spec = json.loads((PERFBENCH / "workloads.json").read_text())
+    gated = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+    for name in (workload["name"] for workload in gated):
+        workload = spec["workloads"][name]
+        code, out, _ = run(capsys, *workload["argv"])
+        reference = (PERFBENCH / workload["reference"]).read_text()
+        assert code == EXIT_OK
+        assert check_output(workload["check"], out, reference, spec["tolerances"]) == [], name
+
+
 def test_fit_defaults_tri_squeezed(tmp_path, capsys):
     out = tmp_path / "fit.json"
     code, _, _ = run(capsys, "fit", "--n", "3", "--M", "20", "--out", str(out))
@@ -481,6 +511,18 @@ def test_verify_monotonic(capsys):
                          out)
     points = int(match[2])
     assert points > 2 and match[1] == f"{parse_r_grid('0:0.3:0.01')[points - 1]:g}"
+
+
+def test_verify_says_when_a_check_had_nothing_to_check(capsys):
+    # no n = 4 pair certifies more than r = 0.005 of the default grid, and at n = 40 only r = 0
+    code, out, _ = run(capsys, "verify")
+    assert code == EXIT_OK
+    vacuous = [line for line in out.splitlines() if "vacuous" in line]
+    assert vacuous == ["PASS convex n=4 (0 interior points, vacuous)"]
+    assert run(capsys, "verify", "--n", "40", "--check", "monotonic")[:2] == (
+        EXIT_OK, "PASS monotonic n=40 (certified region r <= 0 (1 points, vacuous))\n")
+    assert run(capsys, "verify", "--n", "40", "--check", "convex")[:2] == (
+        EXIT_OK, "PASS convex n=40 (0 interior points, vacuous)\n")
 
 
 def test_compare_all_converged_below_radius(tmp_path, capsys):

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
+from squeezelab import evolve
 from squeezelab.evolve import (
     _TILE_ENTRIES,
     LEAK_TOL,
     MAX_ORACLE_SIZE,
+    WINDOW_TOL,
+    _log_eta,
     VacuumSectorPropagator,
     certify_truncation_pair,
     chain_length,
@@ -234,21 +237,40 @@ def test_full_eigensolve_pairs_lambda_with_minus_lambda(n, size):
 @pytest.mark.parametrize("n,size", [(3, 6000), (4, 24000)])
 def test_window_keeps_few_eigenpairs_at_large_truncation(n, size):
     prop = VacuumSectorPropagator(n, FockDim(size))
-    assert prop.eigvecs.shape[1] == 32 < prop.eigvecs.shape[0]
-    assert prop.discarded <= 1e-14
+    assert prop.eigvecs.shape[1] == {3: 22, 4: 16}[n] < prop.eigvecs.shape[0]
+    assert prop.discarded <= WINDOW_TOL
 
 
-def test_window_grows_by_quarters_and_falls_back_to_full_chain():
-    # n = 1 spreads |0> over the most eigenvalues: the Krylov basis grows
-    # 32, 48, 64, 80, 100, 125, 156, 195, 243 and stops once eta <= WINDOW_TOL
-    for n, size, columns in ((1, 1000, 195), (1, 2000, 243), (2, 1000, 48)):
+def test_window_starts_at_eight_aims_at_the_tolerance_and_falls_back_to_full_chain():
+    # n = 1 spreads |0> over the most eigenvalues: the Krylov basis grows 8, 16, 24, 32,
+    # 40, 50, 62, 77, 96, 120, 150, then by the secant of log eta, and stops once the
+    # eigenvector eta <= WINDOW_TOL
+    for n, size, columns in ((1, 1000, 174), (1, 2000, 246), (2, 1000, 45)):
         wide = VacuumSectorPropagator(n, FockDim(size))
         assert wide.eigvecs.shape[1] == columns
-        assert wide.discarded <= 1e-14
+        assert wide.discarded <= WINDOW_TOL
     # a basis that spans the chain keeps every positive eigenvalue and leaves nothing out
     full = VacuumSectorPropagator(3, FockDim(64))
     assert full.eigvecs.shape == (22, 11)
     assert full.discarded == 0.0
+
+
+@pytest.mark.parametrize("n,size", [(1, 1000), (1, 1001), (2, 1000), (3, 6000), (4, 24000),
+                                    (1, 6000)])
+def test_eta_from_ritz_values_matches_eta_from_eigenvectors(n, size, monkeypatch):
+    # every Lanczos matrix the build tests is a leading block of the last one
+    tested = []
+    monkeypatch.setattr(evolve, "_log_eta", lambda T: tested.append(T) or _log_eta(T))
+    VacuumSectorPropagator(n, FockDim(size))
+    lanczos = tested[-1]
+    checked = 0
+    for m in range(2, len(lanczos) + 1, max(1, len(lanczos) // 60)):
+        S = np.linalg.eigh(lanczos[:m, :m])[1]
+        eta = np.abs(S[0] * S[-1]).sum()
+        if eta >= 1e-16:  # within a factor of 2
+            assert 0.5 <= math.exp(_log_eta(lanczos[:m, :m])) / eta <= 2
+            checked += 1
+    assert checked >= min(len(lanczos) - 1, 10)
 
 
 def test_chain_too_long_for_the_unrolled_solve_is_refused():
