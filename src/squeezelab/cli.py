@@ -6,7 +6,7 @@ tables, the fit and compare JSON and verify's PASS/FAIL lines are all written
 here.  Exit codes: 0 success, 1 usage error, 2 failed verify check, 3 resource
 budget exceeded (--M above algebra.MAX_M, 2 n M above algebra.MAX_LEVEL, over
 MAX_ROWS grid rows or levels, a chain build over evolve.MAX_CHAIN_BYTES, or a
-chain out of floating-point range).  verify checks the chain against
+chain out of floating-point range or precision).  verify checks the chain against
 evolve.expm_state at ORACLE_SIZE levels, so its --n stays below ORACLE_SIZE;
 --levels sizes only the closed-form and positivity checks.
 """
@@ -41,7 +41,6 @@ VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
 # verify --check monotonic at 117 MB and --check closed-form --n 4 at 215 MB (26 s): under 1 GB.
 MAX_ROWS = 10**6
 ORACLE_SIZE = 64  # levels of the dense oracle that verify checks the chain against
-AMPLITUDE_TOL = 1e-10  # largest chain-oracle amplitude difference that verify accepts
 _CSV_BLOCK = 1 << 12  # rows that _csv formats at once, column by column
 
 
@@ -142,8 +141,8 @@ def _write(*outputs) -> None:
             for path in filter(os.path.exists, new):
                 os.remove(path)
             raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
-        for handle, (_, lines) in zip(handles, outputs):
-            if handle is not sys.stdout:
+        for handle, (path, lines) in zip(handles, outputs):
+            if handle is not sys.stdout and os.path.isfile(path):  # a device or pipe has no length
                 handle.truncate(0)
             handle.writelines(lines)
 
@@ -310,7 +309,7 @@ def _verify_checks(args):
         for n in orders:
             error = float(chain(n).grid_diagnostics(r_grid)[2].max())
             gap = oracle_gap(n, 0.1)[0]
-            ok = error <= 1e-10 and gap <= AMPLITUDE_TOL
+            ok = error <= 1e-10 and gap <= evolve.AMPLITUDE_TOL
             yield (f"norm-preservation n={n}", ok, f"|norm-1| = {error:.2e}, oracle {gap:.2e}")
 
     if want in (None, "phase"):
@@ -319,7 +318,7 @@ def _verify_checks(args):
             # the chain sees only |r|, so the spread of <N> over the angles is the oracle's
             gaps, photons = zip(*(oracle_gap(n, r) for r in r_values))
             spread, gap = float(np.ptp(photons)), max(gaps)
-            ok = spread <= 1e-9 and gap <= AMPLITUDE_TOL
+            ok = spread <= 1e-9 and gap <= evolve.AMPLITUDE_TOL
             yield (f"phase-invariance n={n}", ok, f"spread {spread:.2e}, oracle {gap:.2e}")
 
     if want in (None, "monotonic", "convex"):

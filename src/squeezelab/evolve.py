@@ -6,7 +6,7 @@ exactly to a real symmetric tridiagonal chain over levels 0, n, 2n, ...  Its
 eigenpairs come in pairs (lambda, v), (-lambda, S v) with S = diag((-1)^j),
 so only the lambda >= 0 eigenpairs that overlap |0> are computed, once per
 (n, N), by a numpy-only shift-invert Lanczos iteration on the even-site block
-of the squared chain, grown until its Ritz values hold |0> to WINDOW_TOL.  A
+of the squared chain, grown until its eigenpairs hold |0> to WINDOW_TOL.  A
 grid of r is then two real matrix products, cosines for the even sites and
 sines for the odd ones, which the diagnostics square and sum in place, one
 256 KB tile of sites x r at a time, without forming complex amplitudes.  This
@@ -40,6 +40,8 @@ MAX_ORACLE_SIZE = 2048
 # function |g| <= 1 of the Lanczos matrix puts on the newest basis vector,
 # is at most this (a basis stopped at 1e-14 left norm errors near 1e-15).
 WINDOW_TOL = 1e-15
+# Largest chain amplitude error: of the |0> its eigenpairs rebuild, and to verify's oracle.
+AMPLITUDE_TOL = 1e-10
 # Bytes a chain build may hold in Krylov basis, L x (m + 1) eigenvectors and Ritz
 # temporaries: at the cap, n = 1 at N = 23500 peaks at 416 MB RSS (10 s, os.wait4).
 MAX_CHAIN_BYTES = 1 << 28
@@ -89,18 +91,6 @@ def _shifted_inverse(d: np.ndarray, s: np.ndarray, size: int, shift: float):
     return lambda x: upper(lower(x)[::-1])[::-1]
 
 
-def _log_eta(lanczos: np.ndarray) -> float:
-    """log eta from the eigenvalues theta alone: |S_0i S_{m-1,i}| = prod_k beta_k /
-    prod_{j != i} |theta_i - theta_j| (Parlett, The Symmetric Eigenvalue Problem, ch. 7)."""
-    theta = np.linalg.eigvalsh(lanczos)
-    gaps = np.abs(theta[:, None] - theta)
-    np.fill_diagonal(gaps, 1.0)
-    if not (gaps.all() and np.diag(lanczos, 1).all()):
-        return -np.inf  # an estimate of 0 sends the build to the eigenvector test
-    terms = np.log(np.diag(lanczos, 1)).sum() - np.log(gaps, out=gaps).sum(axis=1)
-    return float(terms.max() + np.log(np.exp(terms - terms.max()).sum()))
-
-
 def chain_length(n: int, size: int) -> int:
     """Sites of the order-n chain at truncation `size`, one per level 0, n, 2n, ... < size."""
     return (size - 1) // n + 1
@@ -134,12 +124,10 @@ def _chain_eigensystem(n: int, size: int):
     Comp. 30, 772, 1976).  Up to 32 even sites are solved whole; a longer basis
     starts at 8 vectors and grows by a quarter, at least 8, until eta =
     sum_i |S_0i S_{m-1,i}| over the eigenvectors S of the Lanczos matrix is at
-    most WINDOW_TOL.  Tests estimate eta from the Ritz values, and a step ends
-    10% past where the secant of two estimates below 1e-3 crosses WINDOW_TOL.
-    One eigensolve confirms eta and gives the Ritz vectors, all kept.  Each
-    Ritz vector y gives the odd sites x = lambda B^+ y and lambda = 1 / |B^+ y|
-    by one forward B solve, which damps the rounding in y where B^T y / lambda
-    would amplify it.
+    most WINDOW_TOL, a step ending 10% past where the secant of two etas below
+    1e-3 crosses it in log eta.  Every Ritz vector y is kept and gives the odd
+    sites x = lambda B^+ y and lambda = 1 / |B^+ y| by one forward B solve,
+    which damps the rounding in y where B^T y / lambda would amplify it.
 
     Returns (eigenvalues, eigenvectors as C-ordered columns, their weights
     w = 2 v_0, or z_0 for the zero mode, discarded = eta, or 0 once the
@@ -187,18 +175,15 @@ def _chain_eigensystem(n: int, size: int):
                 beta.append(norm)
                 basis[row + 1] = w / norm
         lanczos = np.diag(alpha) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
-        log_eta = -np.inf if m == dim else _log_eta(lanczos)
-        if log_eta <= np.log(WINDOW_TOL):
-            S = np.linalg.eigh(lanczos)[1]  # the one full eigensolve confirms eta
-            eta = float(np.abs(S[0] * S[-1]).sum())
-            if eta <= WINDOW_TOL or m == dim:
-                break
-            log_eta = np.log(eta)
+        S = np.linalg.eigh(lanczos)[1]
+        eta = float(np.abs(S[0] * S[-1]).sum())
+        if eta <= WINDOW_TOL or m == dim:
+            break
         step = max(8, m // 4)
-        if last and log_eta < last[1] < np.log(1e-3):  # 10% past the secant's crossing
-            ahead = (log_eta - np.log(WINDOW_TOL)) * (m - last[0]) / (last[1] - log_eta)
+        if last and eta < last[1] < 1e-3:  # 10% past the secant's crossing of log eta
+            ahead = np.log(eta / WINDOW_TOL) * (m - last[0]) / np.log(last[1] / eta)
             step = min(step, max(4, int(1.1 * ahead) + 2))
-        last = m, log_eta
+        last = m, eta
         m = min(m + step, dim)
     V = np.empty((length, m + locked))
     # Ritz vectors y on the even sites, largest Ritz value (smallest lambda) first
@@ -225,8 +210,9 @@ class VacuumSectorPropagator:
     a whole grid of r then costs two real matrix products, even sites by
     cosines and odd sites by sines, of size L/2 x k by k x len(grid), with
     L ~ N/n the chain length; their squares are |amplitude|^2.  `discarded`
-    is the Lanczos estimate eta of :func:`_chain_eigensystem`, 0 when the
-    basis spans the chain.
+    is eta of the last eigensolve of :func:`_chain_eigensystem`, 0 when the
+    basis spans the chain.  A chain whose eigenpairs rebuild |0> no closer
+    than AMPLITUDE_TOL is refused, as is one out of floating-point range.
     """
 
     def __init__(self, n: int, dim: FockDim):
@@ -234,14 +220,18 @@ class VacuumSectorPropagator:
             raise ValueError(f"truncation {dim.size} must exceed squeezing order {n}")
         self.n = n
         self.dim = dim
+        sites = chain_length(n, dim.size)
         try:  # underflow stays quiet: the bidiagonal solves rely on it
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 chain = _chain_eigensystem(n, dim.size)
         except (FloatingPointError, OverflowError) as exc:
-            sites = chain_length(n, dim.size)
             raise BudgetExceededError(f"{sites}-site chain", "floating-point range") from exc
         self.eigvals, self.eigvecs, self._weights, self.discarded = chain
         self.levels = n * np.arange(len(self.eigvecs))
+        # every Ritz pair is kept, so only rounding parts what they rebuild at r = 0 from |0>
+        error = np.linalg.norm(self.eigvecs[0::2] @ self._weights - np.eye(1, (sites + 1) // 2))
+        if not error <= AMPLITUDE_TOL:  # refuses nan too
+            raise BudgetExceededError(f"{sites}-site chain", "floating-point precision")
 
     def _real_amplitudes(self, mag: np.ndarray):
         """fill(start, out): chain amplitudes at |r| = mag on sites start (even), start + 1, ...
@@ -344,9 +334,9 @@ def second_derivative_check(n: int, r: float, dim: FockDim,
     fd = float(photons[2] - 2 * photons[1] + photons[0]) / h**2
     b2 = chain_couplings(n, len(prop.levels))
     commutator = np.array([b - a for a, b in zip([0] + b2, b2)], dtype=float)
-    probs = prop._real_amplitudes(np.array([r], dtype=float))(0, np.empty((len(b2), 1))) ** 2
-    bulk = 2 * n * float(commutator @ probs[:, 0])
-    wall = 2 * n * b2[-1] * float(probs[-1, 0])
+    probs = np.abs(prop.chain_grid([r])[:, 0]) ** 2
+    bulk = 2 * n * float(commutator @ probs)
+    wall = 2 * n * b2[-1] * float(probs[-1])
     return fd, bulk, wall
 
 

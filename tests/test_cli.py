@@ -124,6 +124,16 @@ def test_compare_usage_error_writes_no_file(tmp_path, capsys):
     assert old.read_text() == "kept\n"
 
 
+def test_output_to_a_device_is_written_without_truncating_it(capsys):
+    # a character device has no length to truncate
+    sweep = ("sweep", "--n", "3", "--N", "100", "--r", "0:0.01:0.01", "--out", os.devnull)
+    assert run(capsys, *sweep)[:2] == (EXIT_OK, "")
+    compare = ("compare", "--n", "3", "--N", "102,103", "--M", "3", "--r", "0:0.01:0.01",
+               "--summary-out", os.devnull)
+    code, out, _ = run(capsys, *compare)
+    assert code == EXIT_OK and out.startswith("r,numeric_N")
+
+
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--n", "0", "--M", "3"],
     ["coeffs", "--n", "3", "--M", "0"],
@@ -333,12 +343,14 @@ def test_row_cap_counts_points_times_truncations(capsys, monkeypatch):
 
 def test_chain_too_long_for_the_solver_exits_with_budget_code(capsys):
     # at n = 1 the chain's bidiagonal solves leave floating-point range near N = 5 10^5;
-    # at n = 50 and n = 90 the chain's Lanczos solve does, at N = 3000
-    for n, size in ((1, 600_000), (50, 3000), (90, 3000)):
+    # at n = 50 and n = 90 the chain's Lanczos solve does, at N = 3000; at (17, 1000)
+    # and (26, 6000) its eigenpairs no longer rebuild |0> to the amplitude tolerance
+    for n, size, limit in ((1, 600_000, "range"), (50, 3000, "range"), (90, 3000, "range"),
+                           (17, 1000, "precision"), (26, 6000, "precision")):
         code, out, err = run(capsys, "sweep", "--n", str(n), "--N", str(size), "--r", "0:0.1:0.1")
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("error: resource budget exceeded: ") and err.count("\n") == 1
-        assert "floating-point range" in err
+        assert err.endswith(f"-site chain > floating-point {limit}\n")
 
 
 def test_chain_build_over_its_memory_cap_exits_with_budget_code(capsys, monkeypatch):
