@@ -6,8 +6,6 @@ The library returns numbers only; every CSV and JSON format lives in
 
 from .fock import (
     BudgetExceededError,
-    FockDim,
-    SqueezeParams,
     commutator_diagonal_value,
     generator,
 )

@@ -258,42 +258,18 @@ def fit_exponential(series: CoefficientSeries) -> FitResult:
     )
 
 
-@dataclass
-class ClosedFormReport:
-    """Outcome of checking [a^n, a†^n] against its closed form and the chain's couplings."""
+def verify_closed_form(n: int, max_level: int = 20) -> int | None:
+    """First level m <= max_level where three exact values of [a^n, a†^n] on |m> differ, or None.
 
-    n: int
-    max_level: int
-    ok: bool
-    vacuum_value_ok: bool
-    first_mismatch: int | None
-    levels: list[tuple[int, int, int]]  # (level, symbolic value, closed-form value)
-
-
-def verify_closed_form(n: int, max_level: int = 20) -> ClosedFormReport:
-    """Evaluate the Wick commutator, the sum formula and the ladder difference on number states.
-
-    All three are exact integers on each |m>; the ladder difference is, at
-    m = jn, the chain's b_j^2 - b_{j-1}^2 that the curvature identity uses.
-    The report carries the first level where they differ (None when all
-    agree) plus the check that the vacuum value is n!.
+    The three are the Wick commutator, the sum formula and the ladder difference,
+    all exact integers; the ladder difference is, at m = jn, the chain's
+    b_j^2 - b_{j-1}^2 that the curvature identity uses.  The sum formula is n!
+    at m = 0, so agreement there gives the vacuum value n!.
     """
     symbolic = commutator(BosonPoly.lowering(n), BosonPoly.raising(n))
-    levels = []
-    first_mismatch = None
     for m in range(max_level + 1):
-        lhs = symbolic.number_state_expectation(m)
         rhs = commutator_diagonal_value(n, m)
-        levels.append((m, int(lhs), rhs))
         ladder = ladder_product(n, m) - ladder_product(n, m - n)
-        if (lhs != rhs or ladder != rhs) and first_mismatch is None:
-            first_mismatch = m
-    vacuum_ok = symbolic.number_state_expectation(0) == math.factorial(n)
-    return ClosedFormReport(
-        n=n,
-        max_level=max_level,
-        ok=first_mismatch is None,
-        vacuum_value_ok=vacuum_ok,
-        first_mismatch=first_mismatch,
-        levels=levels,
-    )
+        if symbolic.number_state_expectation(m) != rhs or ladder != rhs:
+            return m
+    return None

@@ -27,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from . import algebra, evolve
-from .fock import BudgetExceededError, FockDim, SqueezeParams, commutator_diagonal_value
+from .fock import BudgetExceededError, commutator_diagonal_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,7 +38,7 @@ VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
 # Most rows one run may ask for: points times truncations for sweep, points for compare
 # and verify, and verify's levels 0..--levels; rows stream out, and only per-r arrays are held.
 # At the cap, with one BLAS thread, sweep peaks at 86 MB (20 s), compare at 162 MB (5 min),
-# verify --check monotonic at 117 MB and --check closed-form --n 4 at 215 MB (26 s): under 1 GB.
+# verify --check monotonic at 117 MB and --check closed-form --n 4 at 30 MB (21 s): under 1 GB.
 MAX_ROWS = 10**6
 ORACLE_SIZE = 64  # levels of the dense oracle that verify checks the chain against
 _CSV_BLOCK = 1 << 12  # rows that _csv formats at once, column by column
@@ -149,7 +149,7 @@ def _write(*outputs) -> None:
 
 def cmd_sweep(args) -> int:
     r_grid = parse_r_grid(args.r)
-    stats = {N: evolve.VacuumSectorPropagator(args.n, FockDim(N)).grid_diagnostics(r_grid)
+    stats = {N: evolve.VacuumSectorPropagator(args.n, N).grid_diagnostics(r_grid)
              for N in parse_n_list(args.N)}  # every N, before the first line is written
     blocks = ((repeat(str(args.n)), repeat(str(N)),
                *(_floats(a[first:first + _CSV_BLOCK]) for a in (r_grid, *stats[N])), repeat("ok"))
@@ -228,7 +228,7 @@ def cmd_compare(args) -> int:
     n_pair = parse_n_list(args.N)
     series = algebra.coefficients(args.n, args.M)
     (photons_a, leak_a, _), (photons_b, leak_b, _) = (
-        evolve.VacuumSectorPropagator(args.n, FockDim(N)).grid_diagnostics(r_grid) for N in n_pair
+        evolve.VacuumSectorPropagator(args.n, N).grid_diagnostics(r_grid) for N in n_pair
     )
     try:
         fit = algebra.fit_exponential(series)
@@ -269,20 +269,20 @@ def _verify_checks(args):
     orders = [args.n] if args.n is not None else VERIFY_ORDERS
     want = args.check
     r_grid = parse_r_grid(args.r)
-    chain = functools.cache(lambda n: evolve.VacuumSectorPropagator(n, FockDim(ORACLE_SIZE)))
+    chain = functools.cache(lambda n: evolve.VacuumSectorPropagator(n, ORACLE_SIZE))
 
     def oracle_gap(n: int, r: complex) -> tuple[float, float]:
         """Largest |amplitude| gap of the chain at r, on all levels, to the oracle; oracle <N>."""
-        gap = evolve.expm_state(SqueezeParams(n, r), FockDim(ORACLE_SIZE))
+        gap = evolve.expm_state(n, r, ORACLE_SIZE)
         photons = float(np.arange(ORACLE_SIZE) @ np.abs(gap) ** 2)
         gap[chain(n).levels] -= chain(n).chain_grid([r])[:, 0]
         return float(np.abs(gap).max()), photons
 
     if want in (None, "closed-form"):
         for n in orders:
-            report = algebra.verify_closed_form(n, max_level=args.levels)
-            detail = "" if report.ok else f"first mismatch at level {report.first_mismatch}"
-            yield (f"closed-form n={n}", report.ok and report.vacuum_value_ok, detail)
+            mismatch = algebra.verify_closed_form(n, max_level=args.levels)
+            detail = "" if mismatch is None else f"first mismatch at level {mismatch}"
+            yield (f"closed-form n={n}", mismatch is None, detail)
 
     if want in (None, "positivity"):
         for n in orders:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fock import BudgetExceededError, FockDim, SqueezeParams, chain_couplings, generator
+from .fock import BudgetExceededError, chain_couplings, generator
 
 # A state leaks when more than LEAK_TOL of its weight sits in the truncation's
 # top levels, and two truncations agree when their mean photon numbers differ
@@ -215,15 +215,15 @@ class VacuumSectorPropagator:
     than AMPLITUDE_TOL is refused, as is one out of floating-point range.
     """
 
-    def __init__(self, n: int, dim: FockDim):
-        if dim.size <= n:
-            raise ValueError(f"truncation {dim.size} must exceed squeezing order {n}")
+    def __init__(self, n: int, size: int):
+        if not 1 <= n < size:
+            raise ValueError(f"need 1 <= n < size, got n={n}, size={size}")
         self.n = n
-        self.dim = dim
-        sites = chain_length(n, dim.size)
+        self.size = size
+        sites = chain_length(n, size)
         try:  # underflow stays quiet: the bidiagonal solves rely on it
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                chain = _chain_eigensystem(n, dim.size)
+                chain = _chain_eigensystem(n, size)
         except (FloatingPointError, OverflowError) as exc:
             raise BudgetExceededError(f"{sites}-site chain", "floating-point range") from exc
         self.eigvals, self.eigvecs, self._weights, self.discarded = chain
@@ -278,8 +278,8 @@ class VacuumSectorPropagator:
         values of r by as many sites as fit): memory grows with neither chain nor grid.
         """
         mag = np.abs(np.asarray(r_values).reshape(-1))
-        tail = min(max(10, 2 * self.n), self.dim.size - 1)
-        first_edge = -(-(self.dim.size - tail) // self.n)  # first site on the top `tail` levels
+        tail = min(max(10, 2 * self.n), self.size - 1)
+        first_edge = -(-(self.size - tail) // self.n)  # first site on the top `tail` levels
         width = max(1, min(len(mag), _TILE_ENTRIES // 128))
         height = _TILE_ENTRIES // width & -2  # even, so every tile starts on an even site
         buffer = np.empty(_TILE_ENTRIES)
@@ -298,7 +298,7 @@ class VacuumSectorPropagator:
         return photons, leakage, norm
 
 
-def expm_state(params: SqueezeParams, dim: FockDim) -> np.ndarray:
+def expm_state(n: int, r: complex, size: int) -> np.ndarray:
     """|r_n> = exp(r a†^n - r* a^n)|0> over all levels of the truncated basis: the oracle.
 
     One dense eigendecomposition iK = V diag(w) V^+ of the full generator
@@ -307,16 +307,16 @@ def expm_state(params: SqueezeParams, dim: FockDim) -> np.ndarray:
     MAX_ORACLE_SIZE levels it raises :class:`BudgetExceededError` before
     allocating anything.
     """
-    if dim.size > MAX_ORACLE_SIZE:
+    if size > MAX_ORACLE_SIZE:
         raise BudgetExceededError("N", MAX_ORACLE_SIZE)
-    if abs(params.r) < np.finfo(float).tiny:
+    if abs(r) < np.finfo(float).tiny and 1 <= n < size:  # generator refuses the rest
         # exp(K)|0> - |0> < 1e-300: return the exact vacuum
-        return np.eye(dim.size, 1, dtype=complex)[:, 0]
-    w, V = np.linalg.eigh(1j * generator(params, dim))
+        return np.eye(size, 1, dtype=complex)[:, 0]
+    w, V = np.linalg.eigh(1j * generator(n, r, size))
     return V @ (np.exp(-1j * w) * V[0].conj())
 
 
-def second_derivative_check(n: int, r: float, dim: FockDim,
+def second_derivative_check(n: int, r: float, size: int,
                             h: float = 1e-3) -> tuple[float, float, float]:
     """(fd, bulk, wall): d²<a†a>/dr² by finite differences, and its exact terms.
 
@@ -327,9 +327,9 @@ def second_derivative_check(n: int, r: float, dim: FockDim,
     So fd = bulk - wall up to the O(h^2) stencil error at every r and N.  <a†a>
     is even in r, so the stencil point r - h is taken at |r - h|, covering r = 0.
     """
-    if r < 0 or h <= 0:
-        raise ValueError("need r >= 0 and h > 0")
-    prop = VacuumSectorPropagator(n, dim)
+    if not (0 <= r < np.inf and 0 < h < np.inf):  # refuses nan too
+        raise ValueError(f"need finite r >= 0 and h > 0, got r={r}, h={h}")
+    prop = VacuumSectorPropagator(n, size)
     photons = prop.grid_diagnostics([abs(r - h), r, r + h])[0]
     fd = float(photons[2] - 2 * photons[1] + photons[0]) / h**2
     b2 = chain_couplings(n, len(prop.levels))
@@ -351,8 +351,10 @@ def certify_truncation_pair(n: int, N_pair: tuple[int, int], r_grid) -> tuple[fl
     if chain_length(n, N_pair[0]) == chain_length(n, N_pair[1]):
         raise ValueError(f"truncations {N_pair[0]} and {N_pair[1]} give the same order-{n} chain")
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
+    if not np.isfinite(r_grid).all():  # nan fails every tolerance test, so it would certify
+        raise ValueError("r grid values must be finite")
     (photons_a, leak_a, _), (photons_b, leak_b, _) = (
-        VacuumSectorPropagator(n, FockDim(int(N))).grid_diagnostics(r_grid) for N in N_pair
+        VacuumSectorPropagator(n, int(N)).grid_diagnostics(r_grid) for N in N_pair
     )
     scale = np.maximum(np.maximum(np.abs(photons_a), np.abs(photons_b)), 1e-30)
     fails = (leak_a > LEAK_TOL) | (leak_b > LEAK_TOL)

@@ -14,7 +14,6 @@ loads scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,31 +25,6 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"resource budget exceeded: {parameter} > {limit}")
         self.parameter = parameter
         self.limit = limit
-
-
-@dataclass(frozen=True)
-class FockDim:
-    """Truncated Fock basis keeping levels |0> .. |size-1>."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError(f"Fock truncation must keep at least 2 levels, got {self.size}")
-
-
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Order n and (possibly complex) squeezing parameter r of U_n(r)."""
-
-    n: int
-    r: complex
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"squeezing order must be >= 1, got {self.n}")
-        if not np.isfinite(self.r):
-            raise ValueError("squeezing parameter must be finite")
 
 
 def ladder_product(n: int, k: int) -> int:
@@ -67,13 +41,13 @@ def chain_couplings(n: int, sites: int) -> list[int]:
     return [ladder_product(n, j * n) for j in range(sites)]
 
 
-def generator(params: SqueezeParams, dim: FockDim) -> np.ndarray:
-    """The anti-Hermitian exponent K = r a†^n - r* a^n of U_n(r), as a dense complex matrix."""
-    if dim.size <= params.n:
-        raise ValueError(f"truncation {dim.size} must exceed squeezing order {params.n}")
-    amps = np.sqrt([float(ladder_product(params.n, k)) for k in range(dim.size - params.n)])
-    r = complex(params.r)
-    return np.diag(r * amps, -params.n) - np.conj(r) * np.diag(amps, params.n)
+def generator(n: int, r: complex, size: int) -> np.ndarray:
+    """The anti-Hermitian exponent K = r a†^n - r* a^n of U_n(r) on levels 0..size-1, dense."""
+    if not (1 <= n < size and np.isfinite(r)):
+        raise ValueError(f"need 1 <= n < size and a finite r, got n={n}, size={size}, r={r}")
+    amps = np.sqrt([float(ladder_product(n, k)) for k in range(size - n)])
+    r = complex(r)
+    return np.diag(r * amps, -n) - np.conj(r) * np.diag(amps, n)
 
 
 def commutator_diagonal_value(n: int, m: int) -> int:

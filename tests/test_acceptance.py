@@ -14,7 +14,9 @@ import pytest
 from scipy.linalg import expm
 
 from squeezelab.algebra import (
+    BosonPoly,
     coefficients,
+    commutator,
     fit_exponential,
     taylor_partial_sum,
     verify_closed_form,
@@ -26,8 +28,6 @@ from squeezelab.evolve import (
     second_derivative_check,
 )
 from squeezelab.fock import (
-    FockDim,
-    SqueezeParams,
     commutator_diagonal_value,
     generator,
 )
@@ -61,7 +61,7 @@ def test_criterion_1_exact_coefficients(series3, series4):
         # the leading value via the finite-difference oracle 2*c2 = f''(0)
         for n, series in ((3, series3), (4, series4)):
             h = 1e-4
-            p0, ph = VacuumSectorPropagator(n, FockDim(1000)).grid_diagnostics([0.0, h])[0]
+            p0, ph = VacuumSectorPropagator(n, 1000).grid_diagnostics([0.0, h])[0]
             fd = (ph - 2 * p0 + ph) / h**2
             assert fd / 2 == pytest.approx(float(series.coefficient(2)), rel=1e-4)
 
@@ -75,10 +75,11 @@ def test_criterion_2_closed_form_identity():
             4: lambda m: 16 * m**3 + 24 * m**2 + 56 * m + 24,
         }
         for n in (1, 2, 3, 4):
-            report = verify_closed_form(n, max_level=20)
-            assert report.ok and report.vacuum_value_ok
-            for m, symbolic, closed in report.levels:
-                assert symbolic == closed == explicit[n](m)
+            assert verify_closed_form(n, max_level=20) is None
+            symbolic = commutator(BosonPoly.lowering(n), BosonPoly.raising(n))
+            for m in range(21):
+                closed = commutator_diagonal_value(n, m)
+                assert symbolic.number_state_expectation(m) == closed == explicit[n](m)
 
 
 def test_criterion_3_fit_reproduction(series3, series4):
@@ -94,9 +95,8 @@ def test_criterion_3_fit_reproduction(series3, series4):
 
 def test_criterion_4_closed_form_curves():
     with criterion("criterion 4: sweep matches r² (n=1) and sinh²(2r) (n=2) to 1e-8"):
-        dim = FockDim(500)
-        prop1 = VacuumSectorPropagator(1, dim)
-        prop2 = VacuumSectorPropagator(2, dim)
+        prop1 = VacuumSectorPropagator(1, 500)
+        prop2 = VacuumSectorPropagator(2, 500)
         # tolerance is relative for values above 1: the exact truncated
         # evolution at N=500, r=1 sits 7e-8 absolute (5e-9 relative) from
         # sinh^2(2), as confirmed by a dense matrix-exponential oracle
@@ -108,8 +108,8 @@ def test_criterion_4_closed_form_curves():
 
 def test_criterion_5_taylor_numeric_consensus(series3):
     with criterion("criterion 5: n=3, r<=0.07: Taylor (M=20) and N=4002/4003 agree to 1e-6"):
-        prop_a = VacuumSectorPropagator(3, FockDim(4002))
-        prop_b = VacuumSectorPropagator(3, FockDim(4003))
+        prop_a = VacuumSectorPropagator(3, 4002)
+        prop_b = VacuumSectorPropagator(3, 4003)
         rs = np.arange(0, 0.0701, 0.005)
         photons_a, photons_b = (prop.grid_diagnostics(rs)[0] for prop in (prop_a, prop_b))
         for r, pa, pb in zip(rs, photons_a, photons_b):
@@ -122,8 +122,8 @@ def test_criterion_5_taylor_numeric_consensus(series3):
 def test_criterion_6_divergence_phenomenology():
     with criterion("criterion 6: N=6000/6001 agree (r<=0.05), differ >10% and "
                    "oscillate in r in [0.3, 1.0]"):
-        prop_a = VacuumSectorPropagator(3, FockDim(6000))
-        prop_b = VacuumSectorPropagator(3, FockDim(6001))
+        prop_a = VacuumSectorPropagator(3, 6000)
+        prop_b = VacuumSectorPropagator(3, 6001)
         near = np.arange(0, 0.0501, 0.005)
         va, vb = (prop.grid_diagnostics(near)[0] for prop in (prop_a, prop_b))
         assert np.abs(va - vb).max() <= 1e-8
@@ -144,7 +144,7 @@ def test_criterion_7_theorem_property_suite():
         for n, pair in ((3, (2001, 2002)), (4, (2000, 2001))):
             r_max = certify_truncation_pair(n, pair, r_grid)[0]
             assert r_max > 0
-            prop = VacuumSectorPropagator(n, FockDim(pair[0]))
+            prop = VacuumSectorPropagator(n, pair[0])
             certified = [r for r in r_grid if r <= r_max]
             values = list(prop.grid_diagnostics(certified)[0])
             for a, b in zip(values, values[1:]):
@@ -157,7 +157,7 @@ def test_criterion_7_theorem_property_suite():
             if r_mid > 1e-3:
                 # h small enough that the O(h^2) stencil error stays below
                 # the 1e-4 relative target even for the stiffer n=4 curve
-                fd, bulk, wall = second_derivative_check(n, r_mid, FockDim(pair[0]), h=2e-4)
+                fd, bulk, wall = second_derivative_check(n, r_mid, pair[0], h=2e-4)
                 assert fd == pytest.approx(bulk - wall, rel=1e-4)
                 assert bulk > 0
         # phase invariance through the expm oracle (the chain depends on |r| by construction)
@@ -165,7 +165,7 @@ def test_criterion_7_theorem_property_suite():
             photons = []
             for theta in (0.0, math.pi / 4, math.pi / 2):
                 r = 0.08 * complex(math.cos(theta), math.sin(theta))
-                probs = np.abs(expm_state(SqueezeParams(n, r), FockDim(64))) ** 2
+                probs = np.abs(expm_state(n, r, 64)) ** 2
                 photons.append(float(np.arange(64) @ probs))
             assert max(photons) - min(photons) <= 1e-9
 
@@ -174,18 +174,17 @@ def test_criterion_8_numerical_hygiene():
     with criterion("criterion 8: norm error <= 1e-10 everywhere; dense-oracle and "
                    "chain agreement <= 1e-10 at N <= 64"):
         for n, r, size in [(1, 1.0, 400), (2, 0.8, 600), (3, 0.5, 6000), (4, 0.4, 6000)]:
-            norm_error = VacuumSectorPropagator(n, FockDim(size)).grid_diagnostics([r])[2]
+            norm_error = VacuumSectorPropagator(n, size).grid_diagnostics([r])[2]
             assert norm_error[0] <= 1e-10
         for n, r, size in [(1, 0.9, 48), (2, 0.5, 64), (3, 0.3, 64), (4, 0.25, 64)]:
-            dim = FockDim(size)
-            K = generator(SqueezeParams(n, r), dim)
-            w = expm_state(SqueezeParams(n, r), dim)
+            K = generator(n, r, size)
+            w = expm_state(n, r, size)
             oracle = expm(K)[:, 0]
             assert np.linalg.norm(w - oracle) <= 1e-10
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-10
             # the shipped chain, scattered onto all levels, at r and at a complex r
-            prop = VacuumSectorPropagator(n, dim)
+            prop = VacuumSectorPropagator(n, size)
             for z in (r, r * np.exp(1j * np.pi / 4)):
                 chain = np.zeros(size, dtype=complex)
                 chain[prop.levels] = prop.chain_grid([z])[:, 0]
-                assert np.linalg.norm(chain - expm_state(SqueezeParams(n, z), dim)) <= 1e-10
+                assert np.linalg.norm(chain - expm_state(n, z, size)) <= 1e-10

@@ -21,6 +21,7 @@ from squeezelab.algebra import (
     verify_closed_form,
 )
 from squeezelab.cli import _decimal, main
+from squeezelab.fock import commutator_diagonal_value
 
 
 def identity():
@@ -188,19 +189,29 @@ def test_coefficients_match_commutator_route_property(n, M):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verify_closed_form(n):
-    report = verify_closed_form(n, max_level=20)
-    assert report.ok
-    assert report.vacuum_value_ok
-    assert report.first_mismatch is None
-    assert len(report.levels) == 21
-    for m, lhs, rhs in report.levels:
-        assert lhs == rhs
+    assert verify_closed_form(n, max_level=20) is None
+    symbolic = commutator(BosonPoly.lowering(n), BosonPoly.raising(n))
+    assert symbolic.number_state_expectation(0) == math.factorial(n)
+    for m in range(21):
+        assert symbolic.number_state_expectation(m) == commutator_diagonal_value(n, m)
 
 
 def test_verify_closed_form_explicit_n4():
-    report = verify_closed_form(4, max_level=10)
-    for m, lhs, _ in report.levels:
-        assert lhs == 16 * m**3 + 24 * m**2 + 56 * m + 24
+    assert verify_closed_form(4, max_level=10) is None
+    symbolic = commutator(BosonPoly.lowering(4), BosonPoly.raising(4))
+    for m in range(11):
+        assert symbolic.number_state_expectation(m) == 16 * m**3 + 24 * m**2 + 56 * m + 24
+
+
+def test_verify_closed_form_reports_first_mismatch(monkeypatch):
+    # a sum formula that is off from level 7 on is caught there, and only there
+    import squeezelab.algebra as algebra
+
+    closed_form = algebra.commutator_diagonal_value
+    monkeypatch.setattr(algebra, "commutator_diagonal_value",
+                        lambda n, m: closed_form(n, m) + (m >= 7))
+    assert verify_closed_form(3, max_level=6) is None
+    assert verify_closed_form(3, max_level=20) == 7
 
 
 def random_poly(rng, max_exp=3, n_terms=3):
@@ -265,10 +276,9 @@ def test_taylor_partial_sum_two_photon():
 
 def test_taylor_matches_numeric_inside_radius():
     from squeezelab.evolve import VacuumSectorPropagator
-    from squeezelab.fock import FockDim
 
     series = coefficients(3, 20)
-    numeric = VacuumSectorPropagator(3, FockDim(2000)).grid_diagnostics([0.05])[0][0]
+    numeric = VacuumSectorPropagator(3, 2000).grid_diagnostics([0.05])[0][0]
     assert taylor_partial_sum(series, 0.05) == pytest.approx(numeric, abs=1e-6)
 
 

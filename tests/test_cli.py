@@ -28,7 +28,6 @@ from squeezelab.cli import (
     parse_r_grid,
     UsageError,
 )
-from squeezelab.fock import SqueezeParams
 
 
 def run(capsys, *argv):
@@ -223,8 +222,7 @@ def test_library_surface():
     # the package's public names; a new record type or wrapper has to be added here on purpose
     assert set(squeezelab.__all__) == {
         "algebra", "evolve", "fock",
-        "BudgetExceededError", "FockDim", "SqueezeParams", "commutator_diagonal_value",
-        "generator",
+        "BudgetExceededError", "commutator_diagonal_value", "generator",
         "VacuumSectorPropagator", "certify_truncation_pair", "expm_state",
         "second_derivative_check",
         "BosonPoly", "CoefficientSeries", "FitResult", "coefficients", "commutator",
@@ -505,8 +503,8 @@ def test_verify_catches_a_broken_chain(capsys, monkeypatch, corrupt, failing):
 def test_verify_phase_spread_comes_from_the_oracle(capsys, monkeypatch):
     # an oracle whose |r| grows with arg r is not phase-covariant: <N> moves with the angle
     expm_state = squeezelab.evolve.expm_state
-    monkeypatch.setattr(squeezelab.evolve, "expm_state", lambda params, dim: expm_state(
-        SqueezeParams(params.n, params.r * (1 + 0.1 * abs(math.sin(cmath.phase(params.r))))), dim))
+    monkeypatch.setattr(squeezelab.evolve, "expm_state", lambda n, r, size: expm_state(
+        n, r * (1 + 0.1 * abs(math.sin(cmath.phase(r)))), size))
     code, out, err = run(capsys, "verify", "--check", "phase", "--n", "3")
     assert code == EXIT_CHECK_FAILED and err == ""
     match = re.fullmatch(r"FAIL phase-invariance n=3 \(spread (\S+), oracle \S+\)\n", out)

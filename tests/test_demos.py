@@ -1,3 +1,4 @@
+import re
 import runpy
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import pytest
 
 from squeezelab.cli import COEFFS_HEADER, COMPARE_HEADER, SWEEP_HEADER
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("script,outputs", [
@@ -23,3 +25,12 @@ def test_demo_writes_its_csv_files(script, outputs, tmp_path, monkeypatch):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == header
         assert len(lines) == rows + 1
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the documented library calls must stay the ones the package has
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})

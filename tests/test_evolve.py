@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, expm
 
+from squeezelab import evolve
 from squeezelab.evolve import (
     _TILE_ENTRIES,
     LEAK_TOL,
@@ -22,8 +23,6 @@ from squeezelab.evolve import (
 )
 from squeezelab.fock import (
     BudgetExceededError,
-    FockDim,
-    SqueezeParams,
     chain_couplings,
     commutator_diagonal_value,
     generator,
@@ -33,15 +32,15 @@ from squeezelab.cli import SWEEP_HEADER, main
 
 def dense_exponential_state(n, r, size):
     """Independent oracle: scipy dense matrix exponential on the vacuum."""
-    K = generator(SqueezeParams(n, r), FockDim(size))
+    K = generator(n, r, size)
     return expm(K)[:, 0]
 
 
-def chain_state(params, dim):
-    """The chain's amplitudes at params.r, scattered onto all dim.size Fock levels."""
-    prop = VacuumSectorPropagator(params.n, dim)
-    amps = np.zeros(dim.size, dtype=complex)
-    amps[prop.levels] = prop.chain_grid([params.r])[:, 0]
+def chain_state(n, r, size):
+    """The order-n chain's amplitudes at r, scattered onto all `size` Fock levels."""
+    prop = VacuumSectorPropagator(n, size)
+    amps = np.zeros(size, dtype=complex)
+    amps[prop.levels] = prop.chain_grid([r])[:, 0]
     return amps
 
 
@@ -93,20 +92,20 @@ def couplings(n, size):
 
 
 def test_zero_generator_is_identity():
-    w = expm_state(SqueezeParams(2, 0.0), FockDim(16))
+    w = expm_state(2, 0.0, 16)
     assert np.array_equal(w, vacuum(16))
 
 
 def test_coherent_state_amplitudes():
     # n=1, r=1 gives a coherent state: |amp_k| = e^(-1/2)/sqrt(k!)
-    w = expm_state(SqueezeParams(1, 1.0), FockDim(64))
+    w = expm_state(1, 1.0, 64)
     for k in range(25):
         expected = math.exp(-0.5) / math.sqrt(math.factorial(k))
         assert abs(w[k]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_two_photon_mean_matches_sinh():
-    photons = VacuumSectorPropagator(2, FockDim(200)).grid_diagnostics([0.5])[0]
+    photons = VacuumSectorPropagator(2, 200).grid_diagnostics([0.5])[0]
     assert photons[0] == pytest.approx(math.sinh(1.0) ** 2, abs=1e-10)
 
 
@@ -120,7 +119,7 @@ def test_two_photon_mean_matches_sinh():
 ])
 def test_chain_matches_dense_oracle(n, r, size):
     # complex r exercises the chain's phase factor (i e^{i arg r})^j
-    state = chain_state(SqueezeParams(n, r), FockDim(size))
+    state = chain_state(n, r, size)
     oracle = dense_exponential_state(n, r, size)
     assert np.linalg.norm(state - oracle) <= 1e-10
     assert norm_error(state) <= 1e-10
@@ -134,7 +133,7 @@ def test_chain_matches_dense_oracle(n, r, size):
     (3, 0.15 + 0.1j, 64),
 ])
 def test_expm_matches_dense_oracle(n, r, size):
-    w = expm_state(SqueezeParams(n, r), FockDim(size))
+    w = expm_state(n, r, size)
     oracle = dense_exponential_state(n, r, size)
     assert np.linalg.norm(w - oracle) <= 1e-10
     assert norm_error(w) <= 1e-10
@@ -148,9 +147,9 @@ def test_expm_matches_dense_oracle(n, r, size):
 )
 def test_chain_matches_expm_property(n_size, mag, theta):
     n, size = n_size
-    params = SqueezeParams(n, mag * complex(math.cos(theta), math.sin(theta)))
-    chain = chain_state(params, FockDim(size))
-    oracle = expm_state(params, FockDim(size))
+    r = mag * complex(math.cos(theta), math.sin(theta))
+    chain = chain_state(n, r, size)
+    oracle = expm_state(n, r, size)
     assert np.linalg.norm(chain - oracle) <= 1e-10
 
 
@@ -172,13 +171,13 @@ def full_chain_reconstruction(n, size, r_values):
 )
 def test_chain_grid_matches_full_eigensolve(n_size, r_values):
     n, size = n_size
-    grid = VacuumSectorPropagator(n, FockDim(size)).chain_grid(r_values)
+    grid = VacuumSectorPropagator(n, size).chain_grid(r_values)
     reference = full_chain_reconstruction(n, size, r_values)
     assert np.linalg.norm(grid - reference, axis=0).max() <= 1e-12
 
 
 def test_chain_grid_columns_are_chain_amplitudes():
-    prop = VacuumSectorPropagator(3, FockDim(600))
+    prop = VacuumSectorPropagator(3, 600)
     r_values = [0.0, 0.05, 0.1 + 0.2j, -0.3, 0.45j, 0.5]
     grid = prop.chain_grid(r_values)
     for column, r in zip(grid.T, r_values):
@@ -199,14 +198,14 @@ def test_chain_grid_columns_are_chain_amplitudes():
 def test_chain_grid_matches_full_eigensolve_even_and_odd_length(n, size):
     # small chains are spanned by the first basis; odd lengths use the closed-form zero mode
     r_values = [0.0, 0.3, -0.2, 0.1 + 0.25j, 0.5j]
-    grid = VacuumSectorPropagator(n, FockDim(size)).chain_grid(r_values)
+    grid = VacuumSectorPropagator(n, size).chain_grid(r_values)
     reference = full_chain_reconstruction(n, size, r_values)
     assert np.linalg.norm(grid - reference, axis=0).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n,size", [(1, 11), (1, 2001), (2, 1001), (3, 6001), (4, 24001)])
 def test_zero_mode_matches_lapack(n, size):
-    prop = VacuumSectorPropagator(n, FockDim(size))
+    prop = VacuumSectorPropagator(n, size)
     length = len(prop.levels)
     assert length % 2 == 1 and prop.eigvals[-1] == 0.0
     b = couplings(n, size)
@@ -235,7 +234,7 @@ def test_full_eigensolve_pairs_lambda_with_minus_lambda(n, size):
 @pytest.mark.parametrize("n,size", [(3, 6000), (4, 24000), (3, 6001), (4, 24001)])
 def test_window_keeps_few_eigenpairs_at_large_truncation(n, size):
     # an odd chain keeps its zero mode as one more column
-    prop = VacuumSectorPropagator(n, FockDim(size))
+    prop = VacuumSectorPropagator(n, size)
     columns = {(3, 6000): 22, (4, 24000): 16, (3, 6001): 27, (4, 24001): 17}[n, size]
     assert prop.eigvecs.shape[1] == columns < prop.eigvecs.shape[0]
     assert prop.discarded <= WINDOW_TOL
@@ -246,11 +245,11 @@ def test_window_starts_at_eight_aims_at_the_tolerance_and_falls_back_to_full_cha
     # 40, 50, 62, 77, 96, 120, 150, then by the secant of log eta, and stops once the
     # eigenvector eta <= WINDOW_TOL
     for n, size, columns in ((1, 1000, 174), (1, 2000, 246), (2, 1000, 45)):
-        wide = VacuumSectorPropagator(n, FockDim(size))
+        wide = VacuumSectorPropagator(n, size)
         assert wide.eigvecs.shape[1] == columns
         assert wide.discarded <= WINDOW_TOL
     # a basis that spans the chain keeps every positive eigenvalue and leaves nothing out
-    full = VacuumSectorPropagator(3, FockDim(64))
+    full = VacuumSectorPropagator(3, 64)
     assert full.eigvecs.shape == (22, 11)
     assert full.discarded == 0.0
 
@@ -264,7 +263,7 @@ def test_chain_too_long_for_the_unrolled_solve_is_refused():
                            (17, 1000, "precision"), (26, 6000, "precision")):
         with pytest.raises(BudgetExceededError, match=f"{chain_length(n, size)}-site chain "
                                                       f"> floating-point {limit}$"):
-            VacuumSectorPropagator(n, FockDim(size))
+            VacuumSectorPropagator(n, size)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -272,7 +271,7 @@ def test_chain_too_long_for_the_unrolled_solve_is_refused():
 def test_sweep_matches_per_r_states(n, N_pair):
     # at N = 60 the states reach the truncation, so leakage is far from round-off
     rows = sweep_rows("--n", str(n), "--r", "0:1:0.025", "--N", "{},{}".format(*N_pair))
-    props = {N: VacuumSectorPropagator(n, FockDim(N)) for N in N_pair}
+    props = {N: VacuumSectorPropagator(n, N) for N in N_pair}
     assert len(rows) == 82
     for N, r, photons, leak, err, _ in rows:
         # the r's own column, spread over all N Fock levels
@@ -297,7 +296,7 @@ def assert_diagnostics_match_chain_grid(prop, r_grid, stats):
     absolute floor for round-off sized leakage), not bit-for-bit.
     """
     probs = np.abs(prop.chain_grid(r_grid)) ** 2
-    edge = prop.levels >= prop.dim.size - min(max(10, 2 * prop.n), prop.dim.size - 1)
+    edge = prop.levels >= prop.size - min(max(10, 2 * prop.n), prop.size - 1)
     assert stats[0] == pytest.approx(prop.levels @ probs, rel=1e-13, abs=0)
     assert stats[1] == pytest.approx(probs[edge].sum(axis=0), rel=1e-13, abs=1e-15)
     assert np.abs(stats[2] - np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)).max() <= 1e-14
@@ -305,7 +304,7 @@ def assert_diagnostics_match_chain_grid(prop, r_grid, stats):
 
 def test_multi_block_grid_matches_per_column_chain_grid():
     # 1201 values of r make five column tiles of TILE_WIDTH, the last partial
-    prop = VacuumSectorPropagator(3, FockDim(6000))
+    prop = VacuumSectorPropagator(3, 6000)
     r_grid = np.linspace(0.0, 1.0, 1201)
     assert len(r_grid) > 4 * TILE_WIDTH
     photons, leak, err = prop.grid_diagnostics(r_grid)
@@ -319,7 +318,7 @@ def test_multi_block_grid_matches_per_column_chain_grid():
 @pytest.mark.parametrize("size", [6000, 6001])
 def test_grid_diagnostics_equals_reductions_of_chain_grid(size):
     # L = 2000 and 2001 sites; 1201 values of r from 0 make five column tiles
-    prop = VacuumSectorPropagator(3, FockDim(size))
+    prop = VacuumSectorPropagator(3, size)
     r_grid = np.linspace(0.0, 1.0, 1201)
     stats = prop.grid_diagnostics(r_grid)
     assert_diagnostics_match_chain_grid(prop, r_grid, stats)
@@ -353,7 +352,7 @@ def test_grid_diagnostics_equals_reductions_of_chain_grid(size):
     (3, 6002, 163, True),
 ])
 def test_grid_diagnostics_tiles_cover_every_site_and_value(n, size, points, straddle):
-    prop = VacuumSectorPropagator(n, FockDim(size))
+    prop = VacuumSectorPropagator(n, size)
     r_grid = np.linspace(0.0, 1.2, points) if points > 1 else np.array([0.6])
     stats = prop.grid_diagnostics(r_grid)
     assert_diagnostics_match_chain_grid(prop, r_grid, stats)
@@ -374,7 +373,7 @@ def test_grid_diagnostics_memory_is_set_by_the_block_not_the_grid():
     # only the per-r inputs and outputs grow with the grid, by tens of bytes per r
     peaks = {}
     for size in (6000, 60000):
-        prop = VacuumSectorPropagator(3, FockDim(size))
+        prop = VacuumSectorPropagator(3, size)
         for points in (2 * TILE_WIDTH, 8 * TILE_WIDTH):
             tracemalloc.start()
             try:
@@ -390,10 +389,9 @@ def test_grid_diagnostics_memory_is_set_by_the_block_not_the_grid():
 
 
 def test_expm_subnormal_r_is_vacuum_without_warning():
-    dim = FockDim(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = expm_state(SqueezeParams(1, 5e-324), dim)
+        w = expm_state(1, 5e-324, 2)
     assert np.array_equal(w, vacuum(2))
 
 
@@ -402,7 +400,7 @@ def test_expm_refuses_oversized_truncation():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match=f"N > {MAX_ORACLE_SIZE}"):
-            expm_state(SqueezeParams(3, 0.1), FockDim(MAX_ORACLE_SIZE + 1))
+            expm_state(3, 0.1, MAX_ORACLE_SIZE + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,22 +408,21 @@ def test_expm_refuses_oversized_truncation():
 
 
 def test_displacement_mean_photon_is_r_squared():
-    photons = VacuumSectorPropagator(1, FockDim(128)).grid_diagnostics([2.0])[0]
+    photons = VacuumSectorPropagator(1, 128).grid_diagnostics([2.0])[0]
     assert photons[0] == pytest.approx(4.0, abs=1e-8)
 
 
 def test_expectation_diagonal_examples():
-    dim = FockDim(12)
     vac = vacuum(12)
-    assert expectation_diagonal(commutator_diagonal(3, dim.size), vac) == 6.0
-    assert expectation_diagonal(commutator_diagonal(4, dim.size), vac) == 24.0
+    assert expectation_diagonal(commutator_diagonal(3, 12), vac) == 6.0
+    assert expectation_diagonal(commutator_diagonal(4, 12), vac) == 24.0
     one = np.zeros(12, dtype=complex)
     one[1] = 1.0
-    assert expectation_diagonal(commutator_diagonal(2, dim.size), one) == 6.0
+    assert expectation_diagonal(commutator_diagonal(2, 12), one) == 6.0
 
 
 def test_number_operator_expectation_equals_mean_photon():
-    prop = VacuumSectorPropagator(3, FockDim(64))
+    prop = VacuumSectorPropagator(3, 64)
     probs = np.abs(prop.chain_grid([0.05])[:, 0]) ** 2
     photons = prop.grid_diagnostics([0.05])[0][0]
     assert float(prop.levels @ probs) == pytest.approx(photons, abs=1e-14)
@@ -433,40 +430,40 @@ def test_number_operator_expectation_equals_mean_photon():
 
 def test_leakage_trivial_cases():
     # n = 1, N = 2: the vacuum at r = 0 and |1>, the top level, at r = pi/2
-    prop = VacuumSectorPropagator(1, FockDim(2))
+    prop = VacuumSectorPropagator(1, 2)
     _, leak, _ = prop.grid_diagnostics([0.0, math.pi / 2])
     assert leak[0] == 0.0
     assert leak[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_converged_state_has_tiny_leakage():
-    _, leak, _ = VacuumSectorPropagator(3, FockDim(2000)).grid_diagnostics([0.05])
+    _, leak, _ = VacuumSectorPropagator(3, 2000).grid_diagnostics([0.05])
     assert leak[0] < 1e-12
 
 
 def test_squeezed_state_zero_parameter_is_vacuum():
-    prop = VacuumSectorPropagator(3, FockDim(100))
+    prop = VacuumSectorPropagator(3, 100)
     column = prop.chain_grid([0.0])[:, 0]
     assert abs(column[0]) == pytest.approx(1.0, abs=1e-14)
     assert prop.grid_diagnostics([0.0])[0][0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_self_consistency_across_truncations_inside_radius():
-    a, b = (VacuumSectorPropagator(3, FockDim(N)).grid_diagnostics([0.05])[0][0]
+    a, b = (VacuumSectorPropagator(3, N).grid_diagnostics([0.05])[0][0]
             for N in (2000, 4000))
     assert abs(a - b) <= 1e-8
 
 
 def test_truncation_divergence_beyond_radius():
     # beyond R_3 the curves for adjacent effective truncations separate
-    a, b = (VacuumSectorPropagator(3, FockDim(N)).grid_diagnostics([0.5])[0][0]
+    a, b = (VacuumSectorPropagator(3, N).grid_diagnostics([0.5])[0][0]
             for N in (6000, 6001))
     assert abs(a - b) / max(a, b) > 0.10
 
 
 def test_norm_preservation_across_regimes():
     for n, r, size in [(1, 1.0, 200), (2, 0.8, 400), (3, 0.9, 3000), (4, 0.6, 3000)]:
-        err = VacuumSectorPropagator(n, FockDim(size)).grid_diagnostics([r])[2]
+        err = VacuumSectorPropagator(n, size).grid_diagnostics([r])[2]
         assert err[0] <= 1e-10
 
 
@@ -475,7 +472,7 @@ def test_phase_invariance_of_mean_photon():
     values = []
     for theta in (0.0, math.pi / 4, math.pi / 2):
         r = 0.1 * complex(math.cos(theta), math.sin(theta))
-        values.append(mean_photon(expm_state(SqueezeParams(3, r), FockDim(64))))
+        values.append(mean_photon(expm_state(3, r, 64)))
     assert max(values) - min(values) <= 1e-9
 
 
@@ -510,24 +507,32 @@ def test_sweep_csv_format():
 
 def test_second_derivative_at_origin():
     # the vacuum has no weight on the last site: the wall term is exactly 0
-    fd, bulk, wall = second_derivative_check(3, 0.0, FockDim(2000))
+    fd, bulk, wall = second_derivative_check(3, 0.0, 2000)
     assert bulk == pytest.approx(36.0, rel=1e-12) and wall == 0.0
     assert fd == pytest.approx(bulk - wall, rel=1e-4)
-    fd, bulk, wall = second_derivative_check(4, 0.0, FockDim(2000))
+    fd, bulk, wall = second_derivative_check(4, 0.0, 2000)
     assert bulk == pytest.approx(192.0, rel=1e-12) and wall == 0.0
     assert fd == pytest.approx(bulk - wall, rel=1e-3)
 
 
 def test_second_derivative_displacement():
-    fd, bulk, wall = second_derivative_check(1, 0.5, FockDim(200))
+    fd, bulk, wall = second_derivative_check(1, 0.5, 200)
     assert bulk == pytest.approx(2.0, rel=1e-12)
     assert fd == pytest.approx(bulk - wall, rel=1e-6)
 
 
 def test_second_derivative_agreement_inside_radius():
-    fd, bulk, wall = second_derivative_check(3, 0.08, FockDim(4000), h=1e-3)
+    fd, bulk, wall = second_derivative_check(3, 0.08, 4000, h=1e-3)
     assert fd == pytest.approx(bulk - wall, rel=1e-4)
     assert fd > 0 and bulk > 0
+
+
+@pytest.mark.parametrize("r,h", [(math.nan, 1e-3), (math.inf, 1e-3), (-0.1, 1e-3),
+                                 (0.1, math.nan), (0.1, math.inf), (0.1, 0.0)])
+def test_second_derivative_refuses_bad_point_or_step(r, h):
+    # unguarded, a nan r gives (nan, nan, nan): r < 0 and h <= 0 are both False for nan
+    with pytest.raises(ValueError):
+        second_derivative_check(3, r, 100, h=h)
 
 
 @pytest.mark.parametrize("n,size,r,dip,tol", [
@@ -543,7 +548,7 @@ def test_second_derivative_agreement_inside_radius():
 ])
 def test_second_derivative_is_bulk_minus_wall(n, size, r, dip, tol):
     # tol is 10-25x the O(h^2) stencil error measured at h = 2e-4, relative to bulk
-    fd, bulk, wall = second_derivative_check(n, r, FockDim(size), h=2e-4)
+    fd, bulk, wall = second_derivative_check(n, r, size, h=2e-4)
     assert bulk > 0 and wall >= 0
     assert abs(fd - (bulk - wall)) <= tol * bulk
     assert (fd < 0) == dip
@@ -567,6 +572,18 @@ def test_converged_region_zero_always_qualifies():
         certify_truncation_pair(3, (500, 500), [0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_certify_refuses_non_finite_grid_before_building_a_chain(monkeypatch, bad):
+    # nan fails neither tolerance test (every comparison with nan is False), so it would
+    # be certified as the radius
+    def no_chain(n, size):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(evolve, "_chain_eigensystem", no_chain)
+    with pytest.raises(ValueError, match="finite"):
+        certify_truncation_pair(3, (100, 103), [0.01, bad])
+
+
 @pytest.mark.parametrize("r_grid,photons_b,leak_a,leak_b,r_max", [
     # every point agrees: the whole grid is certified
     ([0.0, 0.1, 0.2, 0.3], [1, 2, 3, 4], [0] * 4, [0] * 4, 0.3),
@@ -586,7 +603,7 @@ def test_certified_region_is_the_prefix_before_the_first_failure(
 
     def grid_diagnostics(self, r_values):
         assert isinstance(r_values, np.ndarray) and np.array_equal(r_values, r_grid)
-        photons, leakage = stats[self.dim.size]
+        photons, leakage = stats[self.size]
         return np.array(photons, float), np.array(leakage, float), np.zeros(len(r_grid))
 
     monkeypatch.setattr(VacuumSectorPropagator, "grid_diagnostics", grid_diagnostics)
@@ -607,7 +624,7 @@ def test_truncation_pair_giving_one_chain_is_refused(n, N_pair):
 def test_monotone_and_convex_in_converged_region():
     r_grid = list(np.arange(0, 0.2001, 0.005))
     r_max = certify_truncation_pair(3, (2001, 2002), r_grid)[0]
-    prop = VacuumSectorPropagator(3, FockDim(2001))
+    prop = VacuumSectorPropagator(3, 2001)
     values = list(prop.grid_diagnostics([r for r in r_grid if r <= r_max])[0])
     assert len(values) > 3
     for a, b in zip(values, values[1:]):

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from squeezelab.evolve import VacuumSectorPropagator, expm_state
 from squeezelab.fock import (
-    FockDim,
-    SqueezeParams,
     chain_couplings,
     commutator_diagonal_value,
     generator,
@@ -14,8 +13,24 @@ from squeezelab.fock import (
 
 
 def test_rejects_too_small_truncation():
-    with pytest.raises(ValueError):
-        FockDim(1)
+    # a truncation must keep a level the generator reaches from |0>: size > n
+    for n, size in [(1, 1), (1, 0), (3, 3), (4, 2)]:
+        with pytest.raises(ValueError):
+            VacuumSectorPropagator(n, size)
+        with pytest.raises(ValueError):
+            expm_state(n, 0.0, size)  # the r = 0 shortcut must not skip the check
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_rejects_order_below_one(n):
+    # unchecked, n = 0 would divide by zero in chain_length and n = -1 index out of range
+    for size in (10, 1):
+        with pytest.raises(ValueError):
+            VacuumSectorPropagator(n, size)
+        with pytest.raises(ValueError):
+            generator(n, 0.1, size)
+        with pytest.raises(ValueError):
+            expm_state(n, 0.0, size)
 
 
 def test_generator_band_matches_repeated_product():
@@ -23,13 +38,13 @@ def test_generator_band_matches_repeated_product():
     size = 30
     adag = np.diag(np.sqrt(np.arange(1, size, dtype=float)), -1)
     for n in range(1, 5):
-        K = generator(SqueezeParams(n, 1.0), FockDim(size))
+        K = generator(n, 1.0, size)
         repeated = np.linalg.matrix_power(adag, n)
         assert np.allclose(np.tril(K), repeated, rtol=1e-14, atol=0)
 
 
 def test_generator_displacement_entries():
-    K = generator(SqueezeParams(1, 1.0), FockDim(3))
+    K = generator(1, 1.0, 3)
     assert K[1, 0] == pytest.approx(1.0)
     assert K[2, 1] == pytest.approx(math.sqrt(2))
     assert K[0, 1] == pytest.approx(-1.0)
@@ -37,23 +52,31 @@ def test_generator_displacement_entries():
 
 
 def test_generator_zero_parameter():
-    K = generator(SqueezeParams(3, 0.0), FockDim(10))
+    K = generator(3, 0.0, 10)
     assert np.count_nonzero(K) == 0
 
 
 @pytest.mark.parametrize("n,r", [(1, 0.7), (2, 0.3 + 0.4j), (3, 0.1), (4, 1e-3 - 2j)])
 def test_generator_anti_hermitian(n, r):
-    K = generator(SqueezeParams(n, r), FockDim(20))
+    K = generator(n, r, 20)
     assert np.max(np.abs(K + K.conj().T)) == 0.0
 
 
 def test_generator_rejects_small_truncation():
     with pytest.raises(ValueError):
-        generator(SqueezeParams(3, 0.1), FockDim(3))
+        generator(3, 0.1, 3)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, complex(0.1, math.nan), complex(-math.inf, 0)])
+def test_rejects_non_finite_parameter(r):
+    with pytest.raises(ValueError):
+        generator(3, r, 10)
+    with pytest.raises(ValueError):
+        expm_state(3, r, 10)
 
 
 def test_generator_band_structure():
-    rows, cols = np.nonzero(generator(SqueezeParams(3, 0.1), FockDim(10)))
+    rows, cols = np.nonzero(generator(3, 0.1, 10))
     assert sorted(set((cols - rows).tolist())) == [-3, 3]
 
 
@@ -76,13 +99,13 @@ def test_closed_form_explicit_values():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_matrix_commutator_matches_closed_form(n):
     # truncation corrupts only the top band: compare rows/cols m < N - n
-    dim = FockDim(2 * n + 8)
-    a = np.diag(np.sqrt(np.arange(1, dim.size, dtype=float)), 1)
+    size = 2 * n + 8
+    a = np.diag(np.sqrt(np.arange(1, size, dtype=float)), 1)
     a_n = np.linalg.matrix_power(a, n)
     adag_n = a_n.T
     comm = a_n @ adag_n - adag_n @ a_n
-    closed = np.diag([float(commutator_diagonal_value(n, m)) for m in range(dim.size)])
-    safe = dim.size - n
+    closed = np.diag([float(commutator_diagonal_value(n, m)) for m in range(size)])
+    safe = size - n
     assert np.allclose(comm[:safe, :safe], closed[:safe, :safe], rtol=1e-13, atol=1e-13)
 
 
