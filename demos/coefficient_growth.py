@@ -15,14 +15,14 @@ from squeezelab import coefficients, fit_exponential
 from squeezelab.cli import main
 
 for n, M in ((3, 20), (4, 10)):
-    series = coefficients(n, M)
-    fit = fit_exponential(series)
-    print(f"n={n}: growth rate alpha = {fit.alpha:.4f} +- {fit.alpha_stderr:.4f}, "
-          f"radius = {fit.radius:.4f}")
-    last_m, last_c = series.entries[-1]
+    entries = coefficients(n, M)  # (m, c_m) pairs
+    alpha, stderr, _ = fit_exponential(entries)
+    print(f"n={n}: growth rate alpha = {alpha:.4f} +- {stderr:.4f}, "
+          f"radius = {np.exp(-alpha):.4f}")
+    last_m, last_c = entries[-1]
     last_root = float(last_c) ** (1 / last_m)
     print(f"      root test |c_m|^(1/m) at m={last_m}: {last_root:.4f} "
-          f"(fit predicts {np.exp(fit.alpha):.4f})")
+          f"(fit predicts {np.exp(alpha):.4f})")
 
 main(["coeffs", "--n", "3", "--M", "20", "--out", "coeffs_n3.csv"])
 main(["compare", "--n", "3", "--N", "6000,6001", "--M", "20", "--r", "0:0.3:0.005",

@@ -17,8 +17,6 @@ from .evolve import (
 )
 from .algebra import (
     BosonPoly,
-    CoefficientSeries,
-    FitResult,
     coefficients,
     commutator,
     fit_exponential,

@@ -12,9 +12,9 @@ so every Taylor derivative phi_j[k] is an integer, and
 
     c_m = sum_j jn B_j^2 sum_k C(m,k) phi_j[k] phi_j[m-k] / m!
 
-is an exact rational.  For n >= 3 the coefficients grow like e^(alpha m);
-:func:`fit_exponential` fits alpha to the last few of them, and the radius
-of convergence is exp(-alpha).
+is an exact rational, passed around as (m, c_m) pairs.  For n >= 3 they grow
+like e^(alpha m); :func:`fit_exponential` fits alpha to the last few of them,
+and the radius of convergence is exp(-alpha).
 
 :class:`BosonPoly` stores normal-ordered polynomials as maps from monomial
 keys (p, q), standing for a†^p a^q, to exact rational coefficients, and
@@ -29,7 +29,6 @@ It shares no code with the chain and serves as the independent oracle:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -127,26 +126,8 @@ def commutator(P: BosonPoly, Q: BosonPoly) -> BosonPoly:
     return multiply(P, Q) - multiply(Q, P)
 
 
-@dataclass
-class CoefficientSeries:
-    """Exact rational Taylor coefficients of <a†a>_n in the squeezing parameter.
-
-    Entries cover the even powers m = 2, 4, ..., 2M; odd coefficients
-    vanish identically and are checked during construction.
-    """
-
-    n: int
-    entries: list[tuple[int, Fraction]]
-
-    def coefficient(self, m: int) -> Fraction:
-        for mm, c in self.entries:
-            if mm == m:
-                return c
-        raise KeyError(f"power {m} not computed")
-
-
-def coefficients(n: int, M: int) -> CoefficientSeries:
-    """First M non-zero Taylor coefficients c_m of <a†a>_n, i.e. m = 2..2M.
+def coefficients(n: int, M: int) -> list[tuple[int, Fraction]]:
+    """(m, c_m) for the first M non-zero Taylor coefficients of <a†a>_n, i.e. m = 2..2M.
 
     Computed from the integer chain recurrence of the module docstring; the
     odd orders are computed too and verified to vanish.  Raises
@@ -188,19 +169,19 @@ def coefficients(n: int, M: int) -> CoefficientSeries:
             half = m // 2
             total += math.comb(m, half) * sum(map(mul, weighted[half], phi[half]))
             entries.append((m, Fraction(total, factorial)))
-    return CoefficientSeries(n=n, entries=entries)
+    return entries
 
 
-def taylor_partial_sum(series: CoefficientSeries, r: float) -> float:
-    """Partial sum of the photon-number series at r, accumulated exactly by Horner's rule.
+def taylor_partial_sum(entries: list[tuple[int, Fraction]], r: float) -> float:
+    """Partial sum of the (m, c_m) series at r, accumulated exactly by Horner's rule.
 
     The powers m may have any gaps: each step multiplies by r to the gap down
     to the next lower power.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not 0 <= r < math.inf:  # refuses nan too
+        raise ValueError(f"need finite r >= 0, got r={r}")
     r_exact = Fraction(r)
-    terms = sorted(series.entries, reverse=True)
+    terms = sorted(entries, reverse=True)
     total, power = Fraction(0), terms[0][0] if terms else 0
     for m, c in terms:
         total = total * r_exact ** (power - m) + c
@@ -212,22 +193,8 @@ def taylor_partial_sum(series: CoefficientSeries, r: float) -> float:
         return math.inf if total > 0 else -math.inf
 
 
-@dataclass
-class FitResult:
-    """Fitted exponential growth rate of series coefficients."""
-
-    n: int
-    points_used: list[int]
-    alpha: float
-    alpha_stderr: float
-
-    @property
-    def radius(self) -> float:
-        return math.exp(-self.alpha)
-
-
-def fit_exponential(series: CoefficientSeries) -> FitResult:
-    """Least-squares fit of ln(c_m) = alpha * m over the last FIT_POINTS non-zero entries.
+def fit_exponential(entries: list[tuple[int, Fraction]]) -> tuple[float, float, list[int]]:
+    """(alpha, alpha_stderr, points_used) of ln(c_m) = alpha * m over the last FIT_POINTS c_m != 0.
 
     The model is the pure exponential c_m = e^(alpha m): a single-parameter
     regression through the origin.  (A free intercept shifts the slope well
@@ -237,7 +204,7 @@ def fit_exponential(series: CoefficientSeries) -> FitResult:
     numerators and denominators, so the huge integers never pass through
     floating point.
     """
-    usable = [(m, c) for m, c in series.entries if c != 0]
+    usable = [(m, c) for m, c in entries if c != 0]
     if len(usable) < FIT_POINTS:
         raise ValueError(f"series has {len(usable)} non-zero entries, need {FIT_POINTS}")
     window = usable[-FIT_POINTS:]
@@ -250,12 +217,7 @@ def fit_exponential(series: CoefficientSeries) -> FitResult:
     alpha = float(x @ y) / float(x @ x)
     resid = y - alpha * x
     stderr = math.sqrt(float(resid @ resid) / (len(x) - 1) / float(x @ x))
-    return FitResult(
-        n=series.n,
-        points_used=[m for m, _ in window],
-        alpha=alpha,
-        alpha_stderr=stderr,
-    )
+    return alpha, stderr, [m for m, _ in window]
 
 
 def verify_closed_form(n: int, max_level: int = 20) -> int | None:

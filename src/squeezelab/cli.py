@@ -172,14 +172,14 @@ def _decimal(c: Fraction) -> str:
 
 
 def cmd_coeffs(args) -> int:
-    series = algebra.coefficients(args.n, args.M)
-    rows = [(str(series.n), str(m), str(c.numerator), str(c.denominator), _decimal(c))
-            for m, c in series.entries]
+    rows = [(str(args.n), str(m), str(c.numerator), str(c.denominator), _decimal(c))
+            for m, c in algebra.coefficients(args.n, args.M)]
     _write((args.out, _csv(COEFFS_HEADER, [zip(*rows)])))
     return EXIT_OK
 
 
-def read_coefficient_csv(path: str) -> algebra.CoefficientSeries:
+def read_coefficient_csv(path: str) -> tuple[int, list[tuple[int, Fraction]]]:
+    """(n, sorted (m, c_m) pairs) of a CSV that `coeffs` wrote."""
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
@@ -200,20 +200,20 @@ def read_coefficient_csv(path: str) -> algebra.CoefficientSeries:
     powers = [m for _, m, _ in rows]
     if len(orders) > 1 or len(set(powers)) < len(powers):
         raise UsageError(f"{path} must hold one order n and each power once")
-    return algebra.CoefficientSeries(n=rows[0][0], entries=sorted((m, c) for _, m, c in rows))
+    return rows[0][0], sorted((m, c) for _, m, c in rows)
 
 
 def cmd_fit(args) -> int:
     if args.coeffs:
-        series = read_coefficient_csv(args.coeffs)
+        n, entries = read_coefficient_csv(args.coeffs)
     else:
-        series = algebra.coefficients(args.n, args.M)
+        n, entries = args.n, algebra.coefficients(args.n, args.M)
     try:
-        fit = algebra.fit_exponential(series)
+        alpha, stderr, used = algebra.fit_exponential(entries)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    record = {"n": fit.n, "M": len(series.entries), "points_used": fit.points_used,
-              "alpha": fit.alpha, "alpha_stderr": fit.alpha_stderr, "radius": fit.radius}
+    record = {"n": n, "M": len(entries), "points_used": used,
+              "alpha": alpha, "alpha_stderr": stderr, "radius": math.exp(-alpha)}
     _write((args.out, [json.dumps(record, indent=2) + "\n"]))
     return EXIT_OK
 
@@ -226,21 +226,21 @@ def cmd_compare(args) -> int:
     """
     r_grid = parse_r_grid(args.r)
     n_pair = parse_n_list(args.N)
-    series = algebra.coefficients(args.n, args.M)
+    entries = algebra.coefficients(args.n, args.M)
     (photons_a, leak_a, _), (photons_b, leak_b, _) = (
         evolve.VacuumSectorPropagator(args.n, N).grid_diagnostics(r_grid) for N in n_pair
     )
     try:
-        fit = algebra.fit_exponential(series)
+        alpha = algebra.fit_exponential(entries)[0]
     except ValueError:  # fewer than FIT_POINTS non-zero coefficients
-        fit = None
+        alpha = None
     summary = {
         "n": args.n,
         "M": args.M,
         "N_pair": n_pair,
         "agree_tol": evolve.AGREE_TOL,
-        "estimated_radius": fit.radius if fit else None,
-        "alpha": fit.alpha if fit else None,
+        "estimated_radius": None if alpha is None else math.exp(-alpha),
+        "alpha": alpha,
         # the smallest r > 0 whose row does not converge, found as the rows stream
         "first_disagreement_r": None,
     }
@@ -249,7 +249,7 @@ def cmd_compare(args) -> int:
         for first in range(0, len(r_grid), _CSV_BLOCK):
             r, pa, pb, la, lb = (a[first:first + _CSV_BLOCK]
                                  for a in (r_grid, photons_a, photons_b, leak_a, leak_b))
-            taylor = np.array([algebra.taylor_partial_sum(series, x) for x in r.tolist()])
+            taylor = np.array([algebra.taylor_partial_sum(entries, x) for x in r.tolist()])
             diffs = np.abs(pa - pb), np.abs(taylor - pa), np.abs(taylor - pb)
             converged = ((np.max(diffs, axis=0) <= evolve.AGREE_TOL)
                          & (la <= evolve.LEAK_TOL) & (lb <= evolve.LEAK_TOL))
@@ -292,7 +292,7 @@ def _verify_checks(args):
 
     if want in (None, "c2"):
         for n in orders:
-            c2 = algebra.coefficients(n, 1).coefficient(2)
+            c2 = dict(algebra.coefficients(n, 1))[2]
             ok = c2 == n * math.factorial(n)
             yield (f"c2 n={n}", ok, f"c2 = {c2}")
 

@@ -348,6 +348,8 @@ def certify_truncation_pair(n: int, N_pair: tuple[int, int], r_grid) -> tuple[fl
     The radius is 0.0 if no grid point qualifies.  A pair that gives one
     chain twice (equal chain_length) would agree trivially and is refused.
     """
+    if n < 1:  # before chain_length, which divides by n
+        raise ValueError(f"need order n >= 1, got n={n}")
     if chain_length(n, N_pair[0]) == chain_length(n, N_pair[1]):
         raise ValueError(f"truncations {N_pair[0]} and {N_pair[1]} give the same order-{n} chain")
     r_grid = np.sort(np.asarray(r_grid, dtype=float))

@@ -55,15 +55,15 @@ def series4():
 
 def test_criterion_1_exact_coefficients(series3, series4):
     with criterion("criterion 1: exact coefficients c2(3)=18, c2(4)=96, odd zero"):
-        assert series3.coefficient(2) == 18
-        assert series4.coefficient(2) == 96
+        assert dict(series3)[2] == 18
+        assert dict(series4)[2] == 96
         # odd orders are asserted to vanish inside coefficients(); re-derive
         # the leading value via the finite-difference oracle 2*c2 = f''(0)
         for n, series in ((3, series3), (4, series4)):
             h = 1e-4
             p0, ph = VacuumSectorPropagator(n, 1000).grid_diagnostics([0.0, h])[0]
             fd = (ph - 2 * p0 + ph) / h**2
-            assert fd / 2 == pytest.approx(float(series.coefficient(2)), rel=1e-4)
+            assert fd / 2 == pytest.approx(float(dict(series)[2]), rel=1e-4)
 
 
 def test_criterion_2_closed_form_identity():
@@ -85,12 +85,12 @@ def test_criterion_2_closed_form_identity():
 def test_criterion_3_fit_reproduction(series3, series4):
     with criterion("criterion 3: alpha3 in [1.89, 2.01], R3 in [0.124, 0.151]; "
                    "alpha4 in [3.1, 3.7], R4 in [0.02, 0.045]"):
-        fit3 = fit_exponential(series3)
-        assert 1.89 <= fit3.alpha <= 2.01
-        assert 0.124 <= fit3.radius <= 0.151
-        fit4 = fit_exponential(series4)
-        assert 3.1 <= fit4.alpha <= 3.7
-        assert 0.02 <= fit4.radius <= 0.045
+        alpha3 = fit_exponential(series3)[0]
+        assert 1.89 <= alpha3 <= 2.01
+        assert 0.124 <= math.exp(-alpha3) <= 0.151
+        alpha4 = fit_exponential(series4)[0]
+        assert 3.1 <= alpha4 <= 3.7
+        assert 0.02 <= math.exp(-alpha4) <= 0.045
 
 
 def test_criterion_4_closed_form_curves():

@@ -13,7 +13,6 @@ from squeezelab.algebra import (
     MAX_M,
     BosonPoly,
     BudgetExceededError,
-    CoefficientSeries,
     coefficients,
     commutator,
     multiply,
@@ -134,28 +133,25 @@ def test_vacuum_expectation_examples():
 
 
 def test_coefficients_displacement_series_terminates():
-    series = coefficients(1, 3)
-    assert series.entries == [(2, Fraction(1)), (4, Fraction(0)), (6, Fraction(0))]
+    assert coefficients(1, 3) == [(2, Fraction(1)), (4, Fraction(0)), (6, Fraction(0))]
 
 
 def test_coefficients_two_photon_match_sinh_expansion():
     # sinh²(2r) = sum_k (4r)^(2k) / (2 (2k)!)
-    series = coefficients(2, 6)
-    for m, c in series.entries:
+    for m, c in coefficients(2, 6):
         assert c == Fraction(4**m, 2 * math.factorial(m))
 
 
 @pytest.mark.parametrize("n,c2", [(1, 1), (2, 4), (3, 18), (4, 96)])
 def test_leading_coefficient_is_n_times_n_factorial(n, c2):
-    series = coefficients(n, 1)
-    assert series.coefficient(2) == c2 == n * math.factorial(n)
+    assert dict(coefficients(n, 1))[2] == c2 == n * math.factorial(n)
 
 
 def test_coefficients_are_rational_and_odd_orders_vanish():
-    # the constructor itself verifies odd orders; also check values are Fractions
-    series = coefficients(3, 8)
-    assert all(isinstance(c, Fraction) for _, c in series.entries)
-    assert [m for m, _ in series.entries] == list(range(2, 17, 2))
+    # coefficients() itself verifies odd orders; also check values are Fractions
+    entries = coefficients(3, 8)
+    assert all(isinstance(c, Fraction) for _, c in entries)
+    assert [m for m, _ in entries] == list(range(2, 17, 2))
 
 
 def test_budget_guard():
@@ -164,27 +160,25 @@ def test_budget_guard():
         with pytest.raises(BudgetExceededError) as refused:
             coefficients(n, MAX_M + 1)
         assert (refused.value.parameter, refused.value.limit) == ("M", MAX_M)
-    assert len(coefficients(2, MAX_M).entries) == MAX_M
+    assert len(coefficients(2, MAX_M)) == MAX_M
     # the chain of order 2M reaches Fock level 2nM, which sets the integers' size
     for n, M in ((7, 172), (MAX_LEVEL // 2 + 1, 1)):
         with pytest.raises(BudgetExceededError) as refused:
             coefficients(n, M)
         assert (refused.value.parameter, refused.value.limit) == ("2nM", MAX_LEVEL)
     n = MAX_LEVEL // 2
-    assert coefficients(n, 1).entries == [(2, n * math.factorial(n))]
+    assert coefficients(n, 1) == [(2, n * math.factorial(n))]
 
 
 @pytest.mark.parametrize("n,M", [(3, 20), (4, 10), (2, 30), (1, 10), (5, 8)])
 def test_coefficients_match_commutator_route(n, M):
-    assert coefficients(n, M).entries == commutator_route_entries(n, M)
+    assert coefficients(n, M) == commutator_route_entries(n, M)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(n=st.integers(1, 5), M=st.integers(1, 6))
 def test_coefficients_match_commutator_route_property(n, M):
-    series = coefficients(n, M)
-    assert series.n == n
-    assert series.entries == commutator_route_entries(n, M)
+    assert coefficients(n, M) == commutator_route_entries(n, M)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -260,16 +254,14 @@ def test_nested_commutator_matrix_oracle(n, m):
 
 
 def test_taylor_partial_sum_zero():
-    series = coefficients(3, 5)
-    assert taylor_partial_sum(series, 0.0) == 0.0
+    assert taylor_partial_sum(coefficients(3, 5), 0.0) == 0.0
 
 
 def test_taylor_partial_sum_two_photon():
-    series = coefficients(2, 20)
-    assert taylor_partial_sum(series, 0.1) == pytest.approx(math.sinh(0.2) ** 2, abs=1e-12)
+    sinh2 = math.sinh(0.2) ** 2
+    assert taylor_partial_sum(coefficients(2, 20), 0.1) == pytest.approx(sinh2, abs=1e-12)
     # a series read from a file may hold any set of powers, gaps included
-    gapped = CoefficientSeries(n=2, entries=[(2, Fraction(4)), (8, Fraction(-1, 3)),
-                                             (11, Fraction(5))])
+    gapped = [(2, Fraction(4)), (8, Fraction(-1, 3)), (11, Fraction(5))]
     half = Fraction(1, 2)
     assert taylor_partial_sum(gapped, 0.5) == float(4 * half**2 - half**8 / 3 + 5 * half**11)
 
@@ -277,9 +269,8 @@ def test_taylor_partial_sum_two_photon():
 def test_taylor_matches_numeric_inside_radius():
     from squeezelab.evolve import VacuumSectorPropagator
 
-    series = coefficients(3, 20)
     numeric = VacuumSectorPropagator(3, 2000).grid_diagnostics([0.05])[0][0]
-    assert taylor_partial_sum(series, 0.05) == pytest.approx(numeric, abs=1e-6)
+    assert taylor_partial_sum(coefficients(3, 20), 0.05) == pytest.approx(numeric, abs=1e-6)
 
 
 def coeffs_csv(n, M):
@@ -301,9 +292,15 @@ def test_coefficient_csv_decimal_beyond_double_range():
 
 
 def test_taylor_partial_sum_beyond_double_range():
-    series = CoefficientSeries(n=0, entries=[(2, Fraction(10**400))])
-    assert taylor_partial_sum(series, 1.0) == math.inf
-    assert taylor_partial_sum(series, 1e-200) == pytest.approx(1.0)
+    entries = [(2, Fraction(10**400))]
+    assert taylor_partial_sum(entries, 1.0) == math.inf
+    assert taylor_partial_sum(entries, 1e-200) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
+def test_taylor_partial_sum_refuses_r_outside_finite_nonnegative(r):
+    with pytest.raises(ValueError):
+        taylor_partial_sum(coefficients(3, 5), r)
 
 
 def test_coefficient_csv_schema():
@@ -316,5 +313,4 @@ def test_coefficient_csv_schema():
 def test_observed_coefficient_signs_recorded():
     # no positivity claim is made; record that computed entries are non-negative
     for n, M in ((3, 10), (4, 6)):
-        series = coefficients(n, M)
-        assert all(c >= 0 for _, c in series.entries)
+        assert all(c >= 0 for _, c in coefficients(n, M))

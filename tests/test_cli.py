@@ -225,7 +225,7 @@ def test_library_surface():
         "BudgetExceededError", "commutator_diagonal_value", "generator",
         "VacuumSectorPropagator", "certify_truncation_pair", "expm_state",
         "second_derivative_check",
-        "BosonPoly", "CoefficientSeries", "FitResult", "coefficients", "commutator",
+        "BosonPoly", "coefficients", "commutator",
         "fit_exponential", "multiply", "taylor_partial_sum", "verify_closed_form",
     }
 
@@ -397,6 +397,15 @@ def test_fit_quadri_squeezed(capsys):
     fit = json.loads(out)
     assert 0.02 <= fit["radius"] <= 0.045
     assert 3.1 <= fit["alpha"] <= 3.7
+
+
+def test_fit_of_written_coefficients_matches_direct_fit(tmp_path, capsys):
+    # coeffs writes every c_m exactly, so fitting the file prints the same bytes
+    path = str(tmp_path / "coeffs.csv")
+    assert run(capsys, "coeffs", "--n", "3", "--M", "20", "--out", path)[0] == EXIT_OK
+    from_file = run(capsys, "fit", "--coeffs", path)
+    assert from_file[0] == EXIT_OK
+    assert from_file[1] == run(capsys, "fit", "--n", "3", "--M", "20")[1]
 
 
 def coefficient_file(tmp_path, *rows):

@@ -1,10 +1,11 @@
 import re
 import runpy
+import shlex
 from pathlib import Path
 
 import pytest
 
-from squeezelab.cli import COEFFS_HEADER, COMPARE_HEADER, SWEEP_HEADER
+from squeezelab.cli import COEFFS_HEADER, COMPARE_HEADER, SWEEP_HEADER, main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -34,3 +35,15 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert len(blocks) == 1
     monkeypatch.chdir(tmp_path)
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # every documented `squeezelab` line, in order, so `fit --coeffs` reads what `coeffs` wrote
+    blocks = re.findall(r"^```sh\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    commands = [line for line in "".join(blocks).replace("\\\n", " ").splitlines()
+                if line.startswith("squeezelab ")]
+    assert "squeezelab fit --coeffs coeffs.csv" in commands
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from squeezelab.evolve import VacuumSectorPropagator, expm_state
+from squeezelab.evolve import VacuumSectorPropagator, certify_truncation_pair, expm_state
 from squeezelab.fock import (
     chain_couplings,
     commutator_diagonal_value,
@@ -31,6 +31,8 @@ def test_rejects_order_below_one(n):
             generator(n, 0.1, size)
         with pytest.raises(ValueError):
             expm_state(n, 0.0, size)
+    with pytest.raises(ValueError):
+        certify_truncation_pair(n, (10, 11), [0.0])
 
 
 def test_generator_band_matches_repeated_product():

@@ -7,46 +7,50 @@ from fractions import Fraction
 
 import pytest
 
-from squeezelab.algebra import CoefficientSeries, coefficients, fit_exponential
+from squeezelab.algebra import coefficients, fit_exponential
 from squeezelab.cli import main
 
 
-def root_test_sequence(series):
+def root_test_sequence(entries):
     """Per-entry |c_m|^(1/m); these approach 1/R when the series has radius R."""
-    return [(m, float(abs(c)) ** (1 / m)) for m, c in series.entries]
+    return [(m, float(abs(c)) ** (1 / m)) for m, c in entries]
 
 
-def synthetic_series(alpha, ms, n=0):
-    entries = [(m, Fraction(math.exp(alpha * m))) for m in ms]
-    return CoefficientSeries(n=n, entries=entries)
+def synthetic_series(alpha, ms):
+    return [(m, Fraction(math.exp(alpha * m))) for m in ms]
 
 
 def test_fit_exact_exponential():
-    series = synthetic_series(2.0, range(2, 21, 2))
-    fit = fit_exponential(series)
-    assert fit.alpha == pytest.approx(2.0, abs=1e-12)
-    assert fit.radius == pytest.approx(math.exp(-2.0), rel=1e-12)
-    assert fit.alpha_stderr < 1e-12
-    assert fit.points_used == [12, 14, 16, 18, 20]
+    alpha, stderr, used = fit_exponential(synthetic_series(2.0, range(2, 21, 2)))
+    assert alpha == pytest.approx(2.0, abs=1e-12)
+    assert math.exp(-alpha) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert stderr < 1e-12
+    assert used == [12, 14, 16, 18, 20]
 
 
-def test_fit_radius_alpha_relation():
-    for series in (coefficients(3, 10), synthetic_series(0.7, range(2, 13, 2))):
-        fit = fit_exponential(series)
-        assert fit.radius * math.exp(fit.alpha) == pytest.approx(1.0, rel=1e-15)
+def test_fit_radius_alpha_relation(tmp_path, capsys):
+    # `fit` prints the radius exp(-alpha), for computed and for read coefficients
+    path = tmp_path / "synthetic.csv"
+    rows = [f"0,{m},{c.numerator},{c.denominator},0"
+            for m, c in synthetic_series(0.7, range(2, 13, 2))]
+    path.write_text("\n".join(["n,m,numerator,denominator,decimal", *rows]) + "\n")
+    for argv in (["fit", "--n", "3", "--M", "10"], ["fit", "--coeffs", str(path)]):
+        assert main(argv) == 0
+        fit = json.loads(capsys.readouterr().out)
+        assert fit["radius"] * math.exp(fit["alpha"]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_fit_reproduces_tri_squeezed_growth():
-    fit = fit_exponential(coefficients(3, 20))
-    assert 1.89 <= fit.alpha <= 2.01
-    assert 0.124 <= fit.radius <= 0.151
-    assert fit.points_used == [32, 34, 36, 38, 40]
+    alpha, _, used = fit_exponential(coefficients(3, 20))
+    assert 1.89 <= alpha <= 2.01
+    assert 0.124 <= math.exp(-alpha) <= 0.151
+    assert used == [32, 34, 36, 38, 40]
 
 
 def test_fit_reproduces_quadri_squeezed_growth():
-    fit = fit_exponential(coefficients(4, 10))
-    assert 3.1 <= fit.alpha <= 3.7
-    assert 0.02 <= fit.radius <= 0.045
+    alpha = fit_exponential(coefficients(4, 10))[0]
+    assert 3.1 <= alpha <= 3.7
+    assert 0.02 <= math.exp(-alpha) <= 0.045
 
 
 def test_fit_rejects_short_series():
@@ -60,7 +64,7 @@ def test_fit_rejects_negative_coefficients():
     entries = [(2, Fraction(1)), (4, Fraction(-1)), (6, Fraction(2)),
                (8, Fraction(3)), (10, Fraction(4))]
     with pytest.raises(ValueError, match="negative"):
-        fit_exponential(CoefficientSeries(n=0, entries=entries))
+        fit_exponential(entries)
 
 
 def test_root_test_two_photon_decays_to_zero():
@@ -72,18 +76,16 @@ def test_root_test_two_photon_decays_to_zero():
 
 
 def test_root_test_tri_squeezed_tracks_fitted_alpha():
-    series = coefficients(3, 20)
-    fit = fit_exponential(series)
-    last = root_test_sequence(series)[-1]
+    entries = coefficients(3, 20)
+    alpha = fit_exponential(entries)[0]
+    last = root_test_sequence(entries)[-1]
     assert last[0] == 40
-    assert abs(last[1] - math.exp(fit.alpha)) / math.exp(fit.alpha) < 0.15
+    assert abs(last[1] - math.exp(alpha)) / math.exp(alpha) < 0.15
 
 
 def test_two_photon_late_window_slope_decreases():
     # infinite radius: the log-slope over late windows is eventually negative
-    series = coefficients(2, 30)
-    fit = fit_exponential(series)
-    assert fit.alpha < 0
+    assert fit_exponential(coefficients(2, 30))[0] < 0
 
 
 def run_compare(tmp_path, n, N_pair, M, r_spec):
