@@ -4,21 +4,19 @@ The library returns numbers only; every CSV and JSON format lives in
 :mod:`squeezelab.cli`.
 """
 
-from .fock import (
-    BudgetExceededError,
-    commutator_diagonal_value,
-    generator,
-)
 from .evolve import (
     VacuumSectorPropagator,
     certify_truncation_pair,
     expm_state,
+    generator,
     second_derivative_check,
 )
 from .algebra import (
     BosonPoly,
+    BudgetExceededError,
     coefficients,
     commutator,
+    commutator_diagonal_value,
     fit_exponential,
     multiply,
     taylor_partial_sum,

@@ -14,7 +14,9 @@ so every Taylor derivative phi_j[k] is an integer, and
 
 is an exact rational, passed around as (m, c_m) pairs.  For n >= 3 they grow
 like e^(alpha m); :func:`fit_exponential` fits alpha to the last few of them,
-and the radius of convergence is exp(-alpha).
+and the radius of convergence is exp(-alpha).  Matrix elements of a†^n are
+square roots of the exact integer products :func:`ladder_product`, and the
+recurrence uses only these integers, so no rounding enters at any level.
 
 :class:`BosonPoly` stores normal-ordered polynomials as maps from monomial
 keys (p, q), standing for a†^p a^q, to exact rational coefficients, and
@@ -32,10 +34,6 @@ import math
 from fractions import Fraction
 from operator import mul
 
-import numpy as np
-
-from .fock import BudgetExceededError, chain_couplings, commutator_diagonal_value, ladder_product
-
 # coefficients(n, M) refuses M > MAX_M and 2nM > MAX_LEVEL, the highest Fock
 # level its chain reaches.  Run time grows like M^4 and the integers' size with
 # the level: the slowest request both caps admit, n = 6 at M = 200, takes 14 s
@@ -44,6 +42,48 @@ MAX_M = 200
 MAX_LEVEL = 2400
 # fit_exponential fits the last FIT_POINTS non-zero coefficients.
 FIT_POINTS = 5
+
+
+class BudgetExceededError(RuntimeError):
+    """A request exceeded a resource cap."""
+
+    def __init__(self, parameter: str, limit):
+        super().__init__(f"resource budget exceeded: {parameter} > {limit}")
+        self.parameter = parameter
+        self.limit = limit
+
+
+def ladder_product(n: int, k: int) -> int:
+    """(k+1)(k+2)...(k+n) = |<k+n| a†^n |k>|^2, an exact integer."""
+    return math.prod(range(k + 1, k + n + 1))
+
+
+def chain_couplings(n: int, sites: int) -> list[int]:
+    """b_j^2 = ladder_product(n, jn) for j < `sites`, exact integers.
+
+    b_j couples the vacuum-sector chain's sites j and j + 1, the Fock levels
+    jn and (j+1)n.  b_j^2 - b_{j-1}^2 = commutator_diagonal_value(n, jn).
+    """
+    return [ladder_product(n, j * n) for j in range(sites)]
+
+
+def commutator_diagonal_value(n: int, m: int) -> int:
+    """Exact number-basis eigenvalue of [a^n, a†^n] at level m.
+
+    Closed form: sum over k = 1..n of k! * C(n,k)^2 * (m)(m-1)...(m-(n-k-1)),
+    with the empty product (k = n) equal to 1.  Strictly positive for all
+    m >= 0, with minimum n! at m = 0.  It also equals
+    <m|a^n a†^n|m> - <m|a†^n a^n|m> = ladder_product(n, m) - ladder_product(n, m - n).
+    """
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    total = 0
+    for k in range(1, n + 1):
+        term = math.factorial(k) * math.comb(n, k) ** 2
+        for j in range(n - k):
+            term *= m - j
+        total += term
+    return total
 
 
 class BosonPoly:
@@ -211,13 +251,14 @@ def fit_exponential(entries: list[tuple[int, Fraction]]) -> tuple[float, float, 
     bad = [m for m, c in window if c < 0]
     if bad:
         raise ValueError(f"negative coefficients at m={bad}: log-linear fit undefined")
-    x = np.array([m for m, _ in window], dtype=float)
+    x = [m for m, _ in window]
     # math.log handles arbitrarily large ints, so split num/den before logging
-    y = np.array([math.log(c.numerator) - math.log(c.denominator) for _, c in window])
-    alpha = float(x @ y) / float(x @ x)
-    resid = y - alpha * x
-    stderr = math.sqrt(float(resid @ resid) / (len(x) - 1) / float(x @ x))
-    return alpha, stderr, [m for m, _ in window]
+    y = [math.log(c.numerator) - math.log(c.denominator) for _, c in window]
+    xx = math.fsum(u * u for u in x)
+    alpha = math.fsum(u * v for u, v in zip(x, y)) / xx
+    rss = math.fsum((v - alpha * u) ** 2 for u, v in zip(x, y))
+    stderr = math.sqrt(rss / (len(x) - 1) / xx)
+    return alpha, stderr, x
 
 
 def verify_closed_form(n: int, max_level: int = 20) -> int | None:

@@ -27,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from . import algebra, evolve
-from .fock import BudgetExceededError, commutator_diagonal_value
+from .algebra import BudgetExceededError, commutator_diagonal_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -14,15 +14,16 @@ makes sweeps over hundreds of r values at N ~ 10^4 cheap.  The module returns
 arrays; `squeezelab.cli` tabulates them as the sweep and compare tables.
 
 `expm_state` is the independent oracle for cross-checks at small N: one
-dense Hermitian eigendecomposition of the full generator, sharing no code
-with the chain's Lanczos solver.  Nothing here loads scipy.
+dense Hermitian eigendecomposition of the full `generator`, sharing no code
+with the chain's Lanczos solver.  The dense `generator` lives here for that
+oracle only; the chain needs just its couplings.  Nothing here loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fock import BudgetExceededError, chain_couplings, generator
+from .algebra import BudgetExceededError, chain_couplings, ladder_product
 
 # A state leaks when more than LEAK_TOL of its weight sits in the truncation's
 # top levels, and two truncations agree when their mean photon numbers differ
@@ -296,6 +297,15 @@ class VacuumSectorPropagator:
                 norm[cols] += probs.sum(axis=0)
         np.abs(np.sqrt(norm, out=norm) - 1.0, out=norm)
         return photons, leakage, norm
+
+
+def generator(n: int, r: complex, size: int) -> np.ndarray:
+    """The anti-Hermitian exponent K = r a†^n - r* a^n of U_n(r) on levels 0..size-1, dense."""
+    if not (1 <= n < size and np.isfinite(r)):
+        raise ValueError(f"need 1 <= n < size and a finite r, got n={n}, size={size}, r={r}")
+    amps = np.sqrt([float(ladder_product(n, k)) for k in range(size - n)])
+    r = complex(r)
+    return np.diag(r * amps, -n) - np.conj(r) * np.diag(amps, n)
 
 
 def expm_state(n: int, r: complex, size: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from squeezelab.algebra import (
     BosonPoly,
     coefficients,
     commutator,
+    commutator_diagonal_value,
     fit_exponential,
     taylor_partial_sum,
     verify_closed_form,
@@ -25,11 +26,8 @@ from squeezelab.evolve import (
     VacuumSectorPropagator,
     certify_truncation_pair,
     expm_state,
-    second_derivative_check,
-)
-from squeezelab.fock import (
-    commutator_diagonal_value,
     generator,
+    second_derivative_check,
 )
 
 

@@ -1,6 +1,8 @@
 import io
 import math
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import squeezelab.algebra
 from squeezelab.algebra import (
     MAX_LEVEL,
     MAX_M,
@@ -15,12 +18,12 @@ from squeezelab.algebra import (
     BudgetExceededError,
     coefficients,
     commutator,
+    commutator_diagonal_value,
     multiply,
     taylor_partial_sum,
     verify_closed_form,
 )
 from squeezelab.cli import _decimal, main
-from squeezelab.fock import commutator_diagonal_value
 
 
 def identity():
@@ -295,6 +298,30 @@ def test_taylor_partial_sum_beyond_double_range():
     entries = [(2, Fraction(10**400))]
     assert taylor_partial_sum(entries, 1.0) == math.inf
     assert taylor_partial_sum(entries, 1e-200) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_taylor_partial_sum_overflow_keeps_sign(sign):
+    assert taylor_partial_sum([(2, Fraction(sign * 10**300))], 1e10) == sign * math.inf
+
+
+NUMPY_FREE_PROBE = """
+import importlib.util, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+spec = importlib.util.spec_from_file_location("algebra", {path!r})
+algebra = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(algebra)
+print(algebra.fit_exponential(algebra.coefficients(3, 20))[2])
+"""
+
+
+def test_algebra_runs_without_numpy_or_package_imports():
+    # loaded by file path, outside its package: a relative import fails as a numpy import does
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_PROBE.format(path=squeezelab.algebra.__file__)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.strip() == "[32, 34, 36, 38, 40]"
 
 
 @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])

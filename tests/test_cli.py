@@ -221,7 +221,7 @@ def test_cli_option_surface():
 def test_library_surface():
     # the package's public names; a new record type or wrapper has to be added here on purpose
     assert set(squeezelab.__all__) == {
-        "algebra", "evolve", "fock",
+        "algebra", "evolve",
         "BudgetExceededError", "commutator_diagonal_value", "generator",
         "VacuumSectorPropagator", "certify_truncation_pair", "expm_state",
         "second_derivative_check",

@@ -19,14 +19,10 @@ from squeezelab.evolve import (
     certify_truncation_pair,
     chain_length,
     expm_state,
+    generator,
     second_derivative_check,
 )
-from squeezelab.fock import (
-    BudgetExceededError,
-    chain_couplings,
-    commutator_diagonal_value,
-    generator,
-)
+from squeezelab.algebra import BudgetExceededError, chain_couplings, commutator_diagonal_value
 from squeezelab.cli import SWEEP_HEADER, main
 
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from squeezelab.evolve import VacuumSectorPropagator, certify_truncation_pair, expm_state
-from squeezelab.fock import (
-    chain_couplings,
-    commutator_diagonal_value,
+from squeezelab.algebra import chain_couplings, commutator_diagonal_value, ladder_product
+from squeezelab.evolve import (
+    VacuumSectorPropagator,
+    certify_truncation_pair,
+    expm_state,
     generator,
-    ladder_product,
 )
 
 
