@@ -58,6 +58,11 @@ def ladder_product(n: int, k: int) -> int:
     return math.prod(range(k + 1, k + n + 1))
 
 
+def chain_length(n: int, size: int) -> int:
+    """Sites of the order-n chain at truncation `size`, one per level 0, n, 2n, ... < size."""
+    return (size - 1) // n + 1
+
+
 def chain_couplings(n: int, sites: int) -> list[int]:
     """b_j^2 = ladder_product(n, jn) for j < `sites`, exact integers.
 
@@ -213,22 +218,29 @@ def coefficients(n: int, M: int) -> list[tuple[int, Fraction]]:
 
 
 def taylor_partial_sum(entries: list[tuple[int, Fraction]], r: float) -> float:
-    """Partial sum of the (m, c_m) series at r, accumulated exactly by Horner's rule.
+    """Partial sum of the (m, c_m) series at r, exact until one final rounding.
 
-    The powers m may have any gaps: each step multiplies by r to the gap down
-    to the next lower power.
+    Over one common denominator D, with a_m = c_m D and r = k / 2^e exactly,
+    the sum is  sum_m a_m k^m 2^(e(P-m)) / (D 2^(eP))  for the top power P.
+    Horner's rule runs on that integer numerator, each step multiplying by k
+    to the gap down to the next lower power, so the powers m may have any
+    gaps.  The one int / int division is correctly rounded, as float() of
+    the same rational is.
     """
     if not 0 <= r < math.inf:  # refuses nan too
         raise ValueError(f"need finite r >= 0, got r={r}")
-    r_exact = Fraction(r)
+    k, scale = r.as_integer_ratio()  # scale = 2^e
+    e = scale.bit_length() - 1
     terms = sorted(entries, reverse=True)
-    total, power = Fraction(0), terms[0][0] if terms else 0
+    D = math.lcm(*(c.denominator for _, c in terms))
+    top = power = terms[0][0] if terms else 0
+    total = 0
     for m, c in terms:
-        total = total * r_exact ** (power - m) + c
+        total = total * k ** (power - m) + (c.numerator * (D // c.denominator) << e * (top - m))
         power = m
-    total *= r_exact**power
+    total *= k**power
     try:
-        return float(total)
+        return total / (D << e * top)
     except OverflowError:
         return math.inf if total > 0 else -math.inf
 

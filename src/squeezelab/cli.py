@@ -9,6 +9,12 @@ MAX_ROWS grid rows or levels, a chain build over evolve.MAX_CHAIN_BYTES, or a
 chain out of floating-point range or precision).  verify checks the chain against
 evolve.expm_state at ORACLE_SIZE levels, so its --n stays below ORACLE_SIZE;
 --levels sizes only the closed-form and positivity checks.
+
+numpy and squeezelab.evolve are imported only inside the code that computes
+in floating point: parse_r_grid, sweep, compare and verify's norm, phase,
+monotonic and convex checks.  coeffs, fit, the exact verify checks and the
+argument checks run on the standard library and squeezelab.algebra alone, so
+they never pay numpy's import.
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import algebra, evolve
+from . import algebra
 from .algebra import BudgetExceededError, commutator_diagonal_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,6 +73,8 @@ def _r_grid_points(spec: str, rows_per_point: int = 1) -> tuple[float, float, in
 
 def parse_r_grid(spec: str) -> np.ndarray:
     """Parse 'start:stop:step' into an inclusive ascending float array."""
+    import numpy as np
+
     start, step, count = _r_grid_points(spec)
     return start + step * np.arange(count)
 
@@ -99,7 +109,7 @@ def check_args(args) -> None:
         if len(n_pair) != 2:
             raise UsageError(f"{args.command} needs exactly two truncations, e.g. --N 6000,6001")
         for n in orders:
-            if evolve.chain_length(n, n_pair[0]) == evolve.chain_length(n, n_pair[1]):
+            if algebra.chain_length(n, n_pair[0]) == algebra.chain_length(n, n_pair[1]):
                 raise UsageError(f"--N {args.N} gives the same n={n} chain twice, "
                                  f"as floor((N-1)/n) is equal")
     if getattr(args, "r", None):
@@ -148,6 +158,8 @@ def _write(*outputs) -> None:
 
 
 def cmd_sweep(args) -> int:
+    from . import evolve
+
     r_grid = parse_r_grid(args.r)
     stats = {N: evolve.VacuumSectorPropagator(args.n, N).grid_diagnostics(r_grid)
              for N in parse_n_list(args.N)}  # every N, before the first line is written
@@ -224,6 +236,10 @@ def cmd_compare(args) -> int:
     A row converges when all three values agree to evolve.AGREE_TOL absolute
     and neither truncation leaks more than evolve.LEAK_TOL.
     """
+    import numpy as np
+
+    from . import evolve
+
     r_grid = parse_r_grid(args.r)
     n_pair = parse_n_list(args.N)
     entries = algebra.coefficients(args.n, args.M)
@@ -268,15 +284,6 @@ def _verify_checks(args):
     """Yield (name, passed, detail) tuples for the requested checks."""
     orders = [args.n] if args.n is not None else VERIFY_ORDERS
     want = args.check
-    r_grid = parse_r_grid(args.r)
-    chain = functools.cache(lambda n: evolve.VacuumSectorPropagator(n, ORACLE_SIZE))
-
-    def oracle_gap(n: int, r: complex) -> tuple[float, float]:
-        """Largest |amplitude| gap of the chain at r, on all levels, to the oracle; oracle <N>."""
-        gap = evolve.expm_state(n, r, ORACLE_SIZE)
-        photons = float(np.arange(ORACLE_SIZE) @ np.abs(gap) ** 2)
-        gap[chain(n).levels] -= chain(n).chain_grid([r])[:, 0]
-        return float(np.abs(gap).max()), photons
 
     if want in (None, "closed-form"):
         for n in orders:
@@ -304,6 +311,22 @@ def _verify_checks(args):
                 yield (f"odd-coefficients-zero n={n}", False, str(exc))
             else:
                 yield (f"odd-coefficients-zero n={n}", True, "")
+
+    if want not in (None, "norm", "phase", "monotonic", "convex"):
+        return  # the exact checks above need neither numpy nor a chain
+    import numpy as np
+
+    from . import evolve
+
+    r_grid = parse_r_grid(args.r)
+    chain = functools.cache(lambda n: evolve.VacuumSectorPropagator(n, ORACLE_SIZE))
+
+    def oracle_gap(n: int, r: complex) -> tuple[float, float]:
+        """Largest |amplitude| gap of the chain at r, on all levels, to the oracle; oracle <N>."""
+        gap = evolve.expm_state(n, r, ORACLE_SIZE)
+        photons = float(np.arange(ORACLE_SIZE) @ np.abs(gap) ** 2)
+        gap[chain(n).levels] -= chain(n).chain_grid([r])[:, 0]
+        return float(np.abs(gap).max()), photons
 
     if want in (None, "norm"):
         for n in orders:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import BudgetExceededError, chain_couplings, ladder_product
+from .algebra import BudgetExceededError, chain_couplings, chain_length, ladder_product
 
 # A state leaks when more than LEAK_TOL of its weight sits in the truncation's
 # top levels, and two truncations agree when their mean photon numbers differ
@@ -90,11 +90,6 @@ def _shifted_inverse(d: np.ndarray, s: np.ndarray, size: int, shift: float):
     lower = _forward_solver(c, sub)
     upper = _forward_solver(c[::-1], sub[::-1])  # C^T, solved from the last row
     return lambda x: upper(lower(x)[::-1])[::-1]
-
-
-def chain_length(n: int, size: int) -> int:
-    """Sites of the order-n chain at truncation `size`, one per level 0, n, 2n, ... < size."""
-    return (size - 1) // n + 1
 
 
 def _chain_eigensystem(n: int, size: int):

@@ -276,6 +276,46 @@ def test_taylor_matches_numeric_inside_radius():
     assert taylor_partial_sum(coefficients(3, 20), 0.05) == pytest.approx(numeric, abs=1e-6)
 
 
+def fraction_taylor_sum(entries, r):
+    """The oracle: Horner's rule in Fractions, rounded once by float()."""
+    r_exact = Fraction(r)
+    terms = sorted(entries, reverse=True)
+    total, power = Fraction(0), terms[0][0] if terms else 0
+    for m, c in terms:
+        total = total * r_exact ** (power - m) + c
+        power = m
+    total *= r_exact**power
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+# series with gaps and either sign, some over a common denominator far from a power of 2
+gapped_series = st.lists(
+    st.tuples(st.integers(0, 60), st.builds(Fraction, st.integers(-10**40, 10**40),
+                                            st.integers(1, 10**30))),
+    max_size=12, unique_by=lambda term: term[0],
+)
+# 0, subnormals, and normal doubles up to where most of these series overflow
+taylor_points = st.one_of(st.just(0.0), st.floats(0, 2.2250738585072014e-308),
+                          st.floats(0, 1e7))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(entries=gapped_series, r=taylor_points)
+def test_taylor_partial_sum_matches_fraction_horner(entries, r):
+    # .hex() tells -0.0 from 0.0 and compares every bit
+    assert taylor_partial_sum(entries, r).hex() == fraction_taylor_sum(entries, r).hex()
+
+
+def test_taylor_partial_sum_overflows_where_the_exact_series_does():
+    # at n = 3, M = 60 the partial sum passes the largest double from r = 32.89 on
+    entries = coefficients(3, 60)
+    assert taylor_partial_sum(entries, 33.0) == fraction_taylor_sum(entries, 33.0) == math.inf
+    assert taylor_partial_sum(entries, 32.8) == fraction_taylor_sum(entries, 32.8) < math.inf
+
+
 def coeffs_csv(n, M):
     """The CSV text that `squeezelab coeffs --n n --M M` writes to stdout."""
     out = io.StringIO()

@@ -564,20 +564,20 @@ def test_compare_requires_truncation_pair(capsys):
     assert "usage error" in err
 
 
-SCIPY_PROBE = """
+MODULES_PROBE = """
 import sys
-from squeezelab.cli import main
+import {module}
 for argv in {runs!r}:
-    assert main(argv) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    assert squeezelab.cli.main(argv) == {code}, argv
+print(sorted({{name.split(".")[0] for name in sys.modules}}))
 """
 
 
-def scipy_modules_after(tmp_path, *runs):
-    """Names of the scipy modules loaded by a fresh interpreter that runs the CLI calls `runs`."""
+def modules_after(tmp_path, *runs, module="squeezelab.cli", code=EXIT_OK):
+    """Top-level modules a fresh interpreter holds after `import module` and the CLI calls `runs`."""
     path = [str(Path(squeezelab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE.format(runs=list(runs))],
+        [sys.executable, "-c", MODULES_PROBE.format(module=module, runs=list(runs), code=code)],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, check=True, timeout=120,
     )
@@ -586,22 +586,39 @@ def scipy_modules_after(tmp_path, *runs):
 
 def test_sweep_and_compare_never_import_scipy(tmp_path):
     # loading scipy would be most of a CLI start; every command runs on numpy alone
-    assert scipy_modules_after(
+    assert "scipy" not in modules_after(
         tmp_path,
         ["sweep", "--n", "3", "--r", "0:0.1:0.05", "--N", "201,202", "--out", "sweep.csv"],
         ["compare", "--n", "3", "--r", "0:0.1:0.05", "--N", "201,202", "--M", "4",
          "--out", "compare.csv", "--summary-out", "summary.json"],
-    ) == []
+    )
 
 
 def test_verify_norm_check_never_imports_scipy(tmp_path):
     # the dense numpy eigendecomposition is the norm check's oracle
-    assert scipy_modules_after(tmp_path, ["verify", "--check", "norm"], ["verify"]) == []
+    assert "scipy" not in modules_after(tmp_path, ["verify", "--check", "norm"], ["verify"])
 
 
 def test_coeffs_and_fit_never_import_scipy(tmp_path):
-    assert scipy_modules_after(
+    assert "scipy" not in modules_after(
         tmp_path,
         ["coeffs", "--n", "3", "--M", "4", "--out", "coeffs.csv"],
         ["fit", "--n", "3", "--M", "6", "--out", "fit.json"],
-    ) == []
+    )
+
+
+@pytest.mark.parametrize("module, runs, code, loads_numpy", [
+    ("squeezelab", [], EXIT_OK, False),
+    ("squeezelab.cli", [], EXIT_OK, False),
+    ("squeezelab.cli", [["coeffs", "--n", "3", "--M", "6", "--out", "coeffs.csv"],
+                        ["fit", "--n", "3", "--M", "6", "--out", "fit.json"],
+                        ["fit", "--coeffs", "coeffs.csv", "--out", "fit2.json"]], EXIT_OK, False),
+    ("squeezelab.cli", [["verify", "--check", check]
+                        for check in ("closed-form", "positivity", "c2", "odd-zero")], EXIT_OK, False),
+    ("squeezelab.cli", [["coeffs", "--n", "0"]], EXIT_USAGE, False),
+    # the control: a command that computes in floating point does load numpy
+    ("squeezelab.cli", [["sweep", "--n", "3", "--r", "0:0.1:0.05", "--N", "201,202",
+                         "--out", "sweep.csv"]], EXIT_OK, True),
+], ids=["import-package", "import-cli", "coeffs-fit", "exact-verify", "usage-error", "sweep"])
+def test_numpy_loads_only_for_floating_point_commands(tmp_path, module, runs, code, loads_numpy):
+    assert ("numpy" in modules_after(tmp_path, *runs, module=module, code=code)) is loads_numpy
