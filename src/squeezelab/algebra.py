@@ -12,9 +12,11 @@ so every Taylor derivative phi_j[k] is an integer, and
 
     c_m = sum_j jn B_j^2 sum_k C(m,k) phi_j[k] phi_j[m-k] / m!
 
-is an exact rational, passed around as (m, c_m) pairs.  For n >= 3 they grow
-like e^(alpha m); :func:`fit_exponential` fits alpha to the last few of them,
-and the radius of convergence is exp(-alpha).  Matrix elements of a†^n are
+is an exact rational, passed around as (m, c_m) pairs.  Each step moves j by
+one, so phi_j[k] = 0 unless j = k (mod 2): the series is even in r, and only
+even m are summed.  For n >= 3 the c_m grow like e^(alpha m);
+:func:`fit_exponential` fits alpha to the last few of them, and the radius
+of convergence is exp(-alpha).  Matrix elements of a†^n are
 square roots of the exact integer products :func:`ladder_product`, and the
 recurrence uses only these integers, so no rounding enters at any level.
 
@@ -25,7 +27,7 @@ reorders products with the closed-form Wick contraction
     (a†^p a^q)(a†^p' a^q') = sum_k k! C(q,k) C(p',k) a†^(p+p'-k) a^(q+q'-k).
 
 It shares no code with the chain and serves as the independent oracle:
-:func:`verify_closed_form` and the tests use it.
+:func:`verify_closed_form`, verify's odd-order check and the tests use it.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ class BudgetExceededError(RuntimeError):
 
 
 def ladder_product(n: int, k: int) -> int:
-    """(k+1)(k+2)...(k+n) = |<k+n| a†^n |k>|^2, an exact integer."""
-    return math.prod(range(k + 1, k + n + 1))
+    """(k+1)(k+2)...(k+n) = |<k+n| a†^n |k>|^2 for k >= -n (0 for k < 0), an exact integer."""
+    return math.perm(k + n, n)
 
 
 def chain_length(n: int, size: int) -> int:
@@ -75,20 +77,16 @@ def chain_couplings(n: int, sites: int) -> list[int]:
 def commutator_diagonal_value(n: int, m: int) -> int:
     """Exact number-basis eigenvalue of [a^n, a†^n] at level m.
 
-    Closed form: sum over k = 1..n of k! * C(n,k)^2 * (m)(m-1)...(m-(n-k-1)),
-    with the empty product (k = n) equal to 1.  Strictly positive for all
-    m >= 0, with minimum n! at m = 0.  It also equals
+    Closed form for levels m >= 0: sum over k = 1..n of k! * C(n,k)^2 times
+    the falling factorial m(m-1)...(m-n+k+1) = perm(m, n-k), which is 1 at
+    k = n; a level m < 0 raises ValueError.  Strictly positive, with minimum
+    n! at m = 0.  It also equals
     <m|a^n a†^n|m> - <m|a†^n a^n|m> = ladder_product(n, m) - ladder_product(n, m - n).
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    total = 0
-    for k in range(1, n + 1):
-        term = math.factorial(k) * math.comb(n, k) ** 2
-        for j in range(n - k):
-            term *= m - j
-        total += term
-    return total
+    return sum(math.factorial(k) * math.comb(n, k) ** 2 * math.perm(m, n - k)
+               for k in range(1, n + 1))
 
 
 class BosonPoly:
@@ -105,18 +103,14 @@ class BosonPoly:
         self.terms = clean
 
     @classmethod
-    def monomial(cls, p: int, q: int, coeff=1) -> "BosonPoly":
-        return cls({(p, q): Fraction(coeff)})
-
-    @classmethod
     def lowering(cls, n: int = 1) -> "BosonPoly":
         """a^n"""
-        return cls.monomial(0, n)
+        return cls({(0, n): 1})
 
     @classmethod
     def raising(cls, n: int = 1) -> "BosonPoly":
         """a†^n"""
-        return cls.monomial(n, 0)
+        return cls({(n, 0): 1})
 
     def __eq__(self, other):
         return isinstance(other, BosonPoly) and self.terms == other.terms
@@ -134,15 +128,8 @@ class BosonPoly:
         return self + (-other)
 
     def number_state_expectation(self, m: int) -> Fraction:
-        """<m| P |m>: only the diagonal monomials a†^p a^p contribute m!/(m-p)!."""
-        total = Fraction(0)
-        for (p, q), coeff in self.terms.items():
-            if p == q and p <= m:
-                falling = 1
-                for j in range(p):
-                    falling *= m - j
-                total += coeff * falling
-        return total
+        """<m| P |m> for m >= 0: each diagonal monomial a†^p a^p contributes perm(m, p)."""
+        return sum((c * math.perm(m, p) for (p, q), c in self.terms.items() if p == q), Fraction(0))
 
     def __repr__(self):
         if not self.terms:
@@ -174,10 +161,12 @@ def commutator(P: BosonPoly, Q: BosonPoly) -> BosonPoly:
 def coefficients(n: int, M: int) -> list[tuple[int, Fraction]]:
     """(m, c_m) for the first M non-zero Taylor coefficients of <a†a>_n, i.e. m = 2..2M.
 
-    Computed from the integer chain recurrence of the module docstring; the
-    odd orders are computed too and verified to vanish.  Raises
-    :class:`BudgetExceededError` for M > MAX_M or 2nM > MAX_LEVEL before
-    doing any work.
+    Computed from the integer chain recurrence of the module docstring.  The
+    odd orders are not formed: phi_j[k] = 0 unless j = k (mod 2), so at odd m
+    one of phi_j[k], phi_j[m-k] is 0 in every product, and c_m = 0.  verify
+    checks that against the nested commutators of :class:`BosonPoly`.
+    Raises :class:`BudgetExceededError` for M > MAX_M or 2nM > MAX_LEVEL
+    before doing any work.
     """
     if n < 1 or M < 1:
         raise ValueError("need n >= 1 and M >= 1")
@@ -200,20 +189,10 @@ def coefficients(n: int, M: int) -> list[tuple[int, Fraction]]:
         B2 *= b2[j]
     weighted = [list(map(mul, weights, phi[k])) for k in range(M + 1)]
     entries = []
-    factorial = 1
-    for m in range(1, top + 1):
-        factorial *= m
-        total = 2 * sum(
-            math.comb(m, k) * sum(map(mul, weighted[k], phi[m - k]))
-            for k in range((m + 1) // 2)
-        )
-        if m % 2 == 1:
-            if total != 0:
-                raise AssertionError(f"odd coefficient m={m} is nonzero: {total}/{m}!")
-        else:
-            half = m // 2
-            total += math.comb(m, half) * sum(map(mul, weighted[half], phi[half]))
-            entries.append((m, Fraction(total, factorial)))
+    for m in range(2, top + 1, 2):  # k < m/2 stands for k and m - k, the middle k = m/2 for itself
+        total = sum((2 - (2 * k == m)) * math.comb(m, k) * sum(map(mul, weighted[k], phi[m - k]))
+                    for k in range(m // 2 + 1))
+        entries.append((m, Fraction(total, math.factorial(m))))
     return entries
 
 

@@ -55,8 +55,14 @@ def test_criterion_1_exact_coefficients(series3, series4):
     with criterion("criterion 1: exact coefficients c2(3)=18, c2(4)=96, odd zero"):
         assert dict(series3)[2] == 18
         assert dict(series4)[2] == 96
-        # odd orders are asserted to vanish inside coefficients(); re-derive
-        # the leading value via the finite-difference oracle 2*c2 = f''(0)
+        # coefficients() forms only even orders; the odd ones vanish in the Wick
+        # oracle, m! c_m = <0|ad_A^m(a†a)|0> with A = a†^n - a^n
+        for n in (3, 4):
+            A, current = BosonPoly.raising(n) - BosonPoly.lowering(n), BosonPoly({(1, 1): 1})
+            for m in range(1, 8):
+                current = commutator(A, current)
+                assert m % 2 == 0 or current.number_state_expectation(0) == 0, (n, m)
+        # re-derive the leading value via the finite-difference oracle 2*c2 = f''(0)
         for n, series in ((3, series3), (4, series4)):
             h = 1e-4
             p0, ph = VacuumSectorPropagator(n, 1000).grid_diagnostics([0.0, h])[0]

@@ -19,6 +19,7 @@ from squeezelab.algebra import (
     coefficients,
     commutator,
     commutator_diagonal_value,
+    ladder_product,
     multiply,
     taylor_partial_sum,
     verify_closed_form,
@@ -27,12 +28,12 @@ from squeezelab.cli import _decimal, main
 
 
 def identity():
-    return BosonPoly.monomial(0, 0)
+    return BosonPoly({(0, 0): 1})
 
 
 def number():
     """a†a"""
-    return BosonPoly.monomial(1, 1)
+    return BosonPoly({(1, 1): 1})
 
 
 def vacuum_expectation(P):
@@ -151,10 +152,17 @@ def test_leading_coefficient_is_n_times_n_factorial(n, c2):
 
 
 def test_coefficients_are_rational_and_odd_orders_vanish():
-    # coefficients() itself verifies odd orders; also check values are Fractions
-    entries = coefficients(3, 8)
-    assert all(isinstance(c, Fraction) for _, c in entries)
-    assert [m for m, _ in entries] == list(range(2, 17, 2))
+    # coefficients() forms only the even orders; the Wick oracle shows the odd ones vanish
+    for n in range(1, 7):
+        A, current = BosonPoly.raising(n) - BosonPoly.lowering(n), number()
+        for m in range(1, 10):
+            current = commutator(A, current)
+            if m % 2:
+                assert vacuum_expectation(current) == 0, (n, m)
+    for n, M in ((3, 8), (1, 1), (6, 5)):
+        entries = coefficients(n, M)
+        assert all(isinstance(c, Fraction) for _, c in entries)
+        assert [m for m, _ in entries] == list(range(2, 2 * M + 1, 2))
 
 
 def test_budget_guard():
@@ -198,6 +206,18 @@ def test_verify_closed_form_explicit_n4():
     symbolic = commutator(BosonPoly.lowering(4), BosonPoly.raising(4))
     for m in range(11):
         assert symbolic.number_state_expectation(m) == 16 * m**3 + 24 * m**2 + 56 * m + 24
+
+
+def test_falling_factorials_refuse_negative_levels():
+    # ladder_product(n, k) is the product (k+1)...(k+n) for k >= -n (0 for k < 0), the
+    # closed form is defined for m >= 0; below, math.perm raises instead of multiplying on
+    for n in range(1, 7):
+        assert [ladder_product(n, k) for k in range(-n, 30)] == [
+            math.prod(range(k + 1, k + n + 1)) for k in range(-n, 30)]
+    for call in (lambda: ladder_product(3, -4), lambda: commutator_diagonal_value(3, -1),
+                 lambda: commutator_diagonal_value(1, -5)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_verify_closed_form_reports_first_mismatch(monkeypatch):
