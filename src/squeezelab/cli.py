@@ -15,6 +15,10 @@ in floating point: parse_r_grid, sweep, compare and verify's norm, phase,
 monotonic and convex checks.  coeffs, fit, the exact verify checks and the
 argument checks run on the standard library and squeezelab.algebra alone, so
 they never pay numpy's import.
+
+main sets OPENBLAS_THREAD_TIMEOUT to BLAS_THREAD_TIMEOUT before numpy loads, so
+OpenBLAS's idle worker thread sleeps instead of spinning; a caller who sets
+OPENBLAS_THREAD_TIMEOUT keeps that choice.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -50,6 +55,12 @@ VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
 MAX_ROWS = 10**6
 ORACLE_SIZE = 64  # levels of the dense oracle that verify checks the chain against
 _CSV_BLOCK = 1 << 12  # rows that _csv formats at once, column by column
+# After start-up and after each threaded call, OpenBLAS's idle worker spins for
+# 2**OPENBLAS_THREAD_TIMEOUT cycles (2**28 by default) before it sleeps.  The minimum, 4,
+# puts it to sleep at once.  It only decides how the idle thread waits, never how a product
+# is split, so output bytes do not change.  On 2 cores at OPENBLAS_NUM_THREADS=2, verify's
+# CPU time fell 0.73 -> 0.43 s and sweep's 0.42 -> 0.28 s, with wall time unchanged.
+BLAS_THREAD_TIMEOUT = "4"
 
 
 class UsageError(ValueError):
@@ -137,19 +148,28 @@ def _write(*outputs) -> None:
     """Write each (path, lines) in turn, to stdout where the path is None or "-".
 
     Every file is opened before any line is drawn, so when one path cannot be
-    written nothing is: files this call created are removed again, and
-    existing files keep their contents.  The lines stream to their handle.
+    written, or two paths name one regular file, nothing is: files this call
+    created are removed again, and existing files keep their contents.  The
+    lines stream to their handle.
     """
-    new = [path for path, _ in outputs if path not in (None, "-") and not os.path.exists(path)]
+    new = [os.path.realpath(path) for path, _ in outputs  # a symlink's target, not the link
+           if path not in (None, "-") and not os.path.exists(path)]
     with contextlib.ExitStack() as stack:
         try:  # "a" creates a file without truncating it
             handles = [
                 sys.stdout if path in (None, "-") else stack.enter_context(open(path, "a"))
                 for path, _ in outputs
             ]
-        except OSError as exc:
+            # one file behind two handles would lose the first one's lines to the second's truncate
+            files = [os.fstat(handle.fileno()) for handle in handles if handle is not sys.stdout]
+            files = [(f.st_dev, f.st_ino) for f in files if stat.S_ISREG(f.st_mode)]
+            if len(set(files)) < len(files):
+                raise UsageError(f"{' and '.join(p for p, _ in outputs if p)} name the same file")
+        except (OSError, UsageError) as exc:
             for path in filter(os.path.exists, new):
                 os.remove(path)
+            if isinstance(exc, UsageError):
+                raise
             raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
         for handle, (path, lines) in zip(handles, outputs):
             if handle is not sys.stdout and os.path.isfile(path):  # a device or pipe has no length
@@ -430,6 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # OpenBLAS reads the variable once, as numpy loads it; a caller's own setting wins
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_THREAD_TIMEOUT)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

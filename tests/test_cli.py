@@ -123,6 +123,23 @@ def test_compare_usage_error_writes_no_file(tmp_path, capsys):
     assert old.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_compare_refuses_one_regular_file_for_both_outputs(tmp_path, capsys, monkeypatch, existing):
+    # the summary's truncate would wipe the rows just written through the other handle
+    monkeypatch.chdir(tmp_path)
+    both = tmp_path / "both.csv"
+    if existing:
+        both.write_text("kept\n")
+    (tmp_path / "link.csv").symlink_to(both)
+    for out, summary in (("both.csv", "./both.csv"), ("link.csv", str(both))):
+        code, stdout, err = run(capsys, "compare", "--n", "3", "--N", "102,103", "--M", "3",
+                                "--r", "0:0.01:0.01", "--out", out, "--summary-out", summary)
+        assert code == EXIT_USAGE and stdout == ""
+        assert err == f"usage error: {out} and {summary} name the same file\n"
+    assert both.read_text() == "kept\n" if existing else not both.exists()
+    assert (tmp_path / "link.csv").is_symlink()  # the caller's link stays, dangling or not
+
+
 def test_output_to_a_device_is_written_without_truncating_it(capsys):
     # a character device has no length to truncate
     sweep = ("sweep", "--n", "3", "--N", "100", "--r", "0:0.01:0.01", "--out", os.devnull)
@@ -590,12 +607,18 @@ print(sorted({{name.split(".")[0] for name in sys.modules}}))
 """
 
 
+def probe_env(**variables):
+    """os.environ without a caller's OpenBLAS timeout, with `variables` and this source tree."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    path = [str(Path(squeezelab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(env, PYTHONPATH=os.pathsep.join(path), **variables)
+
+
 def modules_after(tmp_path, *runs, module="squeezelab.cli", code=EXIT_OK):
     """Top-level modules a fresh interpreter holds after `import module` and the CLI calls `runs`."""
-    path = [str(Path(squeezelab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run(
         [sys.executable, "-c", MODULES_PROBE.format(module=module, runs=list(runs), code=code)],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        cwd=tmp_path, env=probe_env(),
         capture_output=True, text=True, check=True, timeout=120,
     )
     return ast.literal_eval(done.stdout.strip().splitlines()[-1])
@@ -639,3 +662,66 @@ def test_coeffs_and_fit_never_import_scipy(tmp_path):
 ], ids=["import-package", "import-cli", "coeffs-fit", "exact-verify", "usage-error", "sweep"])
 def test_numpy_loads_only_for_floating_point_commands(tmp_path, module, runs, code, loads_numpy):
     assert ("numpy" in modules_after(tmp_path, *runs, module=module, code=code)) is loads_numpy
+
+
+TIMEOUT_PROBE = """
+import os
+import sys
+{preload}
+import squeezelab.cli
+
+at_numpy_import = []
+
+
+class Watch:  # records the variable at the moment numpy is first looked for
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not at_numpy_import:
+            at_numpy_import.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+
+sys.meta_path.insert(0, Watch())
+before = dict(os.environ)
+assert squeezelab.cli.main({argv!r}) == 0
+changed = {{k: os.environ.get(k) for k in before.keys() | os.environ.keys()
+           if before.get(k) != os.environ.get(k)}}
+print(repr((at_numpy_import, changed)))
+"""
+
+
+@pytest.mark.parametrize("variables, preload, at_numpy_import, changed", [
+    # the default is in place before numpy, and so OpenBLAS, loads
+    ({}, "", ["4"], {"OPENBLAS_THREAD_TIMEOUT": "4"}),
+    # a caller's value is left as it is
+    ({"OPENBLAS_THREAD_TIMEOUT": "20"}, "", ["20"], {}),
+    # the bundled OpenBLAS does not read the GotoBLAS name, so it is no opt-out, and stays as set
+    ({"GOTO_THREAD_TIMEOUT": "20"}, "", ["4"], {"OPENBLAS_THREAD_TIMEOUT": "4"}),
+    # once numpy is loaded the variable is read already, so main leaves it alone
+    ({}, "import numpy", [], {}),
+], ids=["default", "caller-openblas", "caller-goto", "numpy-loaded"])
+def test_cli_sets_the_blas_thread_timeout_only_as_a_default(
+        tmp_path, variables, preload, at_numpy_import, changed):
+    argv = ["sweep", "--n", "3", "--r", "0:0.1:0.05", "--N", "201,202", "--out", "sweep.csv"]
+    done = subprocess.run(
+        [sys.executable, "-c", TIMEOUT_PROBE.format(preload=preload, argv=argv)],
+        cwd=tmp_path, env=probe_env(**variables), capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert ast.literal_eval(done.stdout.strip().splitlines()[-1]) == (at_numpy_import, changed)
+
+
+@pytest.mark.parametrize("argv", [
+    # n = 1 chains are long enough that the second BLAS thread shares the work
+    ["sweep", "--n", "1", "--N", "2000,2001", "--r", "0:1:0.01"],
+    ["verify"],
+], ids=["sweep-n1", "verify"])
+def test_output_bytes_do_not_depend_on_the_blas_thread_timeout(tmp_path, argv):
+    # the timeout decides only how the idle worker waits; 28 is OpenBLAS's own default
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "squeezelab.cli", *argv], cwd=tmp_path,
+            env=probe_env(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", **variables),
+            capture_output=True, check=True, timeout=120,
+        ).stdout
+        for variables in ({}, {"OPENBLAS_THREAD_TIMEOUT": "28"})
+    ]
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 1000
