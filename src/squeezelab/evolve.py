@@ -234,7 +234,10 @@ class VacuumSectorPropagator:
 
         They hold up to a phase of modulus 1 per site: V_even (w cos(lambda |r|)) on even sites
         and V_odd (w sin(lambda |r|)) on odd ones, and the exact vacuum where |r| = 0.
+        An |r| at which lambda |r| overflows is refused rather than turned into nan.
         """
+        if not np.isfinite(float(self.eigvals.max()) * float(mag.max(initial=0.0))):
+            raise BudgetExceededError(f"|r| on a {len(self.levels)}-site chain", "floating-point range")
         angles = np.outer(self.eigvals, mag)
         even, odd = (f(angles) * self._weights[:, None] for f in (np.cos, np.sin))
 
@@ -256,13 +259,7 @@ class VacuumSectorPropagator:
         out = self._real_amplitudes(np.abs(r))(0, np.empty((len(j), len(r))))
         # exp(-i T |r|) e0 is real on even sites and -i times real on odd sites;
         # with the gauge phase (i e^{i arg r})^j that leaves (-1)^(j//2) e^{ij arg r}
-        out *= (1.0 - 2.0 * (j // 2 % 2))[:, None]
-        out = out.astype(complex)
-        # the phase is exactly 1 for arg r = 0, the real grids that sweeps use
-        phase = np.angle(r)
-        twisted = phase != 0
-        out[:, twisted] *= np.exp(1j * np.outer(j, phase[twisted]))
-        return out
+        return out * (1.0 - 2.0 * (j // 2 % 2))[:, None] * np.exp(1j * np.outer(j, np.angle(r)))
 
     def grid_diagnostics(self, r_values) -> tuple[np.ndarray, ...]:
         """Mean photon number, leakage and norm error at every r in `r_values`.

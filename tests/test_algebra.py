@@ -16,6 +16,7 @@ from squeezelab.algebra import (
     MAX_M,
     BosonPoly,
     BudgetExceededError,
+    chain_couplings,
     coefficients,
     commutator,
     commutator_diagonal_value,
@@ -231,6 +232,61 @@ def test_verify_closed_form_reports_first_mismatch(monkeypatch):
     assert verify_closed_form(3, max_level=20) == 7
 
 
+def test_closed_form_explicit_values():
+    # n=2: 4 m + 2; n=3: 9 m^2 + 9 m + 6; n=4: 16 m^3 + 24 m^2 + 56 m + 24
+    assert commutator_diagonal_value(3, 0) == 6
+    assert commutator_diagonal_value(3, 1) == 24
+    assert commutator_diagonal_value(4, 0) == 24
+    for m in range(25):
+        assert commutator_diagonal_value(1, m) == 1
+        assert commutator_diagonal_value(2, m) == 4 * m + 2
+        assert commutator_diagonal_value(3, m) == 9 * m**2 + 9 * m + 6
+        assert commutator_diagonal_value(4, m) == 16 * m**3 + 24 * m**2 + 56 * m + 24
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_commutator_matches_closed_form(n):
+    # truncation corrupts only the top band: compare rows/cols m < N - n
+    size = 2 * n + 8
+    a_n = np.linalg.matrix_power(ladder_matrices(size)[0], n)
+    adag_n = a_n.T
+    comm = a_n @ adag_n - adag_n @ a_n
+    closed = np.diag([float(commutator_diagonal_value(n, m)) for m in range(size)])
+    safe = size - n
+    assert np.allclose(comm[:safe, :safe], closed[:safe, :safe], rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closed_form_diagonal_minimum(n):
+    values = [commutator_diagonal_value(n, m) for m in range(50)]
+    assert all(v >= math.factorial(n) for v in values)
+    assert values[0] == math.factorial(n)
+    assert all(v > 0 for v in values)
+
+
+def test_closed_form_is_the_ladder_difference():
+    # on |m>, a^n a†^n = ladder_product(n, m) and a†^n a^n = ladder_product(n, m - n),
+    # which is 0 for m < n; at m = jn the difference is the chain's b_j^2 - b_{j-1}^2
+    for n in range(1, 9):
+        for m in range(400):
+            ladder = ladder_product(n, m) - ladder_product(n, m - n)
+            assert commutator_diagonal_value(n, m) == ladder
+        b2 = chain_couplings(n, 400 // n)
+        assert b2[0] == math.factorial(n)
+        assert [b - a for a, b in zip([0] + b2, b2)] == [
+            commutator_diagonal_value(n, j * n) for j in range(len(b2))
+        ]
+
+
+def test_order_or_count_below_one_is_refused():
+    # unguarded, n = 0 gives the closed form's empty sum 0 and an all-zero series, and M = 0
+    # an empty series
+    for call in (lambda: commutator_diagonal_value(0, 3), lambda: commutator_diagonal_value(-1, 0),
+                 lambda: coefficients(0, 5), lambda: coefficients(3, 0)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def random_poly(rng, max_exp=3, n_terms=3):
     terms = {}
     for _ in range(n_terms):
@@ -401,3 +457,4 @@ def test_observed_coefficient_signs_recorded():
     # no positivity claim is made; record that computed entries are non-negative
     for n, M in ((3, 10), (4, 6)):
         assert all(c >= 0 for _, c in coefficients(n, M))
+

@@ -87,6 +87,66 @@ def couplings(n, size):
     return np.sqrt(np.array(chain_couplings(n, chain_length(n, size) - 1), dtype=float))
 
 
+def test_rejects_too_small_truncation():
+    # a truncation must keep a level the generator reaches from |0>: size > n
+    for n, size in [(1, 1), (1, 0), (3, 3), (4, 2)]:
+        with pytest.raises(ValueError):
+            VacuumSectorPropagator(n, size)
+        with pytest.raises(ValueError):
+            generator(n, 0.1, size)
+        with pytest.raises(ValueError):
+            expm_state(n, 0.0, size)  # the r = 0 shortcut must not skip the check
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_rejects_order_below_one(n):
+    # unchecked, n = 0 would divide by zero in chain_length and n = -1 index out of range
+    for size in (10, 1):
+        with pytest.raises(ValueError):
+            VacuumSectorPropagator(n, size)
+        with pytest.raises(ValueError):
+            generator(n, 0.1, size)
+        with pytest.raises(ValueError):
+            expm_state(n, 0.0, size)
+    with pytest.raises(ValueError):
+        certify_truncation_pair(n, (10, 11), [0.0])
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, complex(0.1, math.nan), complex(-math.inf, 0)])
+def test_rejects_non_finite_parameter(r):
+    with pytest.raises(ValueError):
+        generator(3, r, 10)
+    with pytest.raises(ValueError):
+        expm_state(3, r, 10)
+
+
+def test_generator_band_matches_repeated_product():
+    # the exact-integer band equals a†^n built by repeated matrix products
+    size = 30
+    adag = np.diag(np.sqrt(np.arange(1, size, dtype=float)), -1)
+    for n in range(1, 5):
+        K = generator(n, 1.0, size)
+        repeated = np.linalg.matrix_power(adag, n)
+        assert np.allclose(np.tril(K), repeated, rtol=1e-14, atol=0)
+
+
+def test_generator_zero_parameter():
+    K = generator(3, 0.0, 10)
+    assert np.count_nonzero(K) == 0
+
+
+@pytest.mark.parametrize("n,r", [(1, 0.7), (2, 0.3 + 0.4j), (3, 0.1), (4, 1e-3 - 2j), (1, 1.0)])
+def test_generator_anti_hermitian(n, r):
+    # with the band test at r = 1 this pins the upper band of n = 1: K[k, k+1] = -sqrt(k+1)
+    K = generator(n, r, 20)
+    assert np.max(np.abs(K + K.conj().T)) == 0.0
+
+
+def test_generator_band_structure():
+    rows, cols = np.nonzero(generator(3, 0.1, 10))
+    assert sorted(set((cols - rows).tolist())) == [-3, 3]
+
+
 def test_zero_generator_is_identity():
     w = expm_state(2, 0.0, 16)
     assert np.array_equal(w, vacuum(16))
@@ -260,6 +320,19 @@ def test_chain_too_long_for_the_unrolled_solve_is_refused():
         with pytest.raises(BudgetExceededError, match=f"{chain_length(n, size)}-site chain "
                                                       f"> floating-point {limit}$"):
             VacuumSectorPropagator(n, size)
+
+
+def test_r_whose_phase_overflows_is_refused():
+    # lambda |r| overflows from |r| = 1.79e308 / lambda_max, about 4.1e304 at (3, 6000); unchecked,
+    # cos and sin give nan past it, and nan fails none of certify_truncation_pair's tests
+    prop = VacuumSectorPropagator(3, 6000)
+    assert np.isfinite(prop.grid_diagnostics([4.1e304])).all()
+    refusal = r"\|r\| on a \d+-site chain > floating-point range$"
+    for call in (lambda: prop.grid_diagnostics([0.1, 4.2e304]),
+                 lambda: prop.chain_grid([4.2e304j]),
+                 lambda: certify_truncation_pair(3, (1002, 1003), [0, 0.05, 1e307, 1.5e307])):
+        with pytest.raises(BudgetExceededError, match=refusal):
+            call()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -28,31 +28,6 @@ def test_fit_exact_exponential():
     assert used == [12, 14, 16, 18, 20]
 
 
-def test_fit_radius_alpha_relation(tmp_path, capsys):
-    # `fit` prints the radius exp(-alpha), for computed and for read coefficients
-    path = tmp_path / "synthetic.csv"
-    rows = [f"0,{m},{c.numerator},{c.denominator},0"
-            for m, c in synthetic_series(0.7, range(2, 13, 2))]
-    path.write_text("\n".join(["n,m,numerator,denominator,decimal", *rows]) + "\n")
-    for argv in (["fit", "--n", "3", "--M", "10"], ["fit", "--coeffs", str(path)]):
-        assert main(argv) == 0
-        fit = json.loads(capsys.readouterr().out)
-        assert fit["radius"] * math.exp(fit["alpha"]) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_fit_reproduces_tri_squeezed_growth():
-    alpha, _, used = fit_exponential(coefficients(3, 20))
-    assert 1.89 <= alpha <= 2.01
-    assert 0.124 <= math.exp(-alpha) <= 0.151
-    assert used == [32, 34, 36, 38, 40]
-
-
-def test_fit_reproduces_quadri_squeezed_growth():
-    alpha = fit_exponential(coefficients(4, 10))[0]
-    assert 3.1 <= alpha <= 3.7
-    assert 0.02 <= math.exp(-alpha) <= 0.045
-
-
 def test_fit_rejects_short_series():
     with pytest.raises(ValueError):
         fit_exponential(coefficients(1, 5))  # only one non-zero entry
