@@ -131,15 +131,6 @@ class BosonPoly:
         """<m| P |m> for m >= 0: each diagonal monomial a†^p a^p contributes perm(m, p)."""
         return sum((c * math.perm(m, p) for (p, q), c in self.terms.items() if p == q), Fraction(0))
 
-    def __repr__(self):
-        if not self.terms:
-            return "BosonPoly(0)"
-        bits = []
-        for (p, q), coeff in sorted(self.terms.items()):
-            mono = "".join(filter(None, [f"ad^{p}" if p else "", f"a^{q}" if q else ""]))
-            bits.append(f"{coeff}*{mono or '1'}")
-        return "BosonPoly(" + " + ".join(bits) + ")"
-
 
 def multiply(P: BosonPoly, Q: BosonPoly) -> BosonPoly:
     """Exact normal-ordered product of two polynomials."""

@@ -210,41 +210,13 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
-def read_coefficient_csv(path: str) -> tuple[int, list[tuple[int, Fraction]]]:
-    """(n, sorted (m, c_m) pairs) of a CSV that `coeffs` wrote."""
-    try:
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0].strip() != COEFFS_HEADER:
-        raise UsageError(f"unexpected coefficient CSV header in {path}")
-    rows = []
-    for line in filter(str.strip, lines[1:]):
-        try:
-            n_s, m_s, num_s, den_s, _dec = line.strip().split(",")
-            rows.append((int(n_s), int(m_s), Fraction(int(num_s), int(den_s))))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad coefficient row {line.strip()!r} in {path}") from exc
-    if not rows:
-        raise UsageError(f"no coefficient rows in {path}")
-    orders = {n for n, _, _ in rows}
-    powers = [m for _, m, _ in rows]
-    if len(orders) > 1 or len(set(powers)) < len(powers):
-        raise UsageError(f"{path} must hold one order n and each power once")
-    return rows[0][0], sorted((m, c) for _, m, c in rows)
-
-
 def cmd_fit(args) -> int:
-    if args.coeffs:
-        n, entries = read_coefficient_csv(args.coeffs)
-    else:
-        n, entries = args.n, algebra.coefficients(args.n, args.M)
+    entries = algebra.coefficients(args.n, args.M)
     try:
         alpha, stderr, used = algebra.fit_exponential(entries)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    record = {"n": n, "M": len(entries), "points_used": used,
+    record = {"n": args.n, "M": len(entries), "points_used": used,
               "alpha": alpha, "alpha_stderr": stderr, "radius": math.exp(-alpha)}
     _write((args.out, [json.dumps(record, indent=2) + "\n"]))
     return EXIT_OK
@@ -425,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="log-linear growth fit and convergence radius")
     common(p, grid=False)
     p.add_argument("--M", type=int, default=20)
-    p.add_argument("--coeffs", default=None, help="read coefficients from CSV")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", help="run the invariant suite")

@@ -234,9 +234,12 @@ class VacuumSectorPropagator:
 
         They hold up to a phase of modulus 1 per site: V_even (w cos(lambda |r|)) on even sites
         and V_odd (w sin(lambda |r|)) on odd ones, and the exact vacuum where |r| = 0.
-        An |r| at which lambda |r| overflows is refused rather than turned into nan.
+        A non-finite |r| is a ValueError; one at which lambda |r| overflows is refused, not nan.
         """
-        if not np.isfinite(float(self.eigvals.max()) * float(mag.max(initial=0.0))):
+        largest = float(mag.max(initial=0.0))  # nan if any value is
+        if not np.isfinite(largest):
+            raise ValueError(f"need finite r values, got |r| = {largest}")
+        if not np.isfinite(float(self.eigvals.max()) * largest):
             raise BudgetExceededError(f"|r| on a {len(self.levels)}-site chain", "floating-point range")
         angles = np.outer(self.eigvals, mag)
         even, odd = (f(angles) * self._weights[:, None] for f in (np.cos, np.sin))
@@ -307,15 +310,19 @@ def expm_state(n: int, r: complex, size: int) -> np.ndarray:
     (LAPACK zheevd) gives exp(K)|0> = V e^{-iw} V^+ e0, well conditioned as K
     is normal (Moler & Van Loan, SIAM Rev. 45, 3, 2003).  Above
     MAX_ORACLE_SIZE levels it raises :class:`BudgetExceededError` before
-    allocating anything.
+    allocating anything, and where K or its eigenvalues overflow instead of returning nan.
     """
     if size > MAX_ORACLE_SIZE:
         raise BudgetExceededError("N", MAX_ORACLE_SIZE)
     if abs(r) < np.finfo(float).tiny and 1 <= n < size:  # generator refuses the rest
         # exp(K)|0> - |0> < 1e-300: return the exact vacuum
         return np.eye(size, 1, dtype=complex)[:, 0]
-    w, V = np.linalg.eigh(1j * generator(n, r, size))
-    return V @ (np.exp(-1j * w) * V[0].conj())
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            w, V = np.linalg.eigh(1j * generator(n, r, size))
+            return V @ (np.exp(-1j * w) * V[0].conj())
+    except FloatingPointError as exc:
+        raise BudgetExceededError(f"|r| on {size} levels", "floating-point range") from exc
 
 
 def second_derivative_check(n: int, r: float, size: int,

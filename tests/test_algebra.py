@@ -20,6 +20,7 @@ from squeezelab.algebra import (
     coefficients,
     commutator,
     commutator_diagonal_value,
+    fit_exponential,
     ladder_product,
     multiply,
     taylor_partial_sum,
@@ -451,6 +452,9 @@ def test_coefficient_csv_schema():
     assert lines[0] == "n,m,numerator,denominator,decimal"
     assert lines[1] == "2,2,4,1,4"
     assert lines[2].startswith("2,4,16,3,")
+    # every row holds its c_m exactly, as numerator and denominator
+    rows = [line.split(",") for line in coeffs_csv(3, 20).strip().split("\n")[1:]]
+    assert [(int(m), Fraction(int(num), int(den))) for _, m, num, den, _ in rows] == coefficients(3, 20)
 
 
 def test_observed_coefficient_signs_recorded():
@@ -458,3 +462,54 @@ def test_observed_coefficient_signs_recorded():
     for n, M in ((3, 10), (4, 6)):
         assert all(c >= 0 for _, c in coefficients(n, M))
 
+
+def root_test_sequence(entries):
+    """Per-entry |c_m|^(1/m); these approach 1/R when the series has radius R."""
+    return [(m, float(abs(c)) ** (1 / m)) for m, c in entries]
+
+
+def synthetic_series(alpha, ms):
+    return [(m, Fraction(math.exp(alpha * m))) for m in ms]
+
+
+def test_fit_exact_exponential():
+    alpha, stderr, used = fit_exponential(synthetic_series(2.0, range(2, 21, 2)))
+    assert alpha == pytest.approx(2.0, abs=1e-12)
+    assert math.exp(-alpha) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert stderr < 1e-12
+    assert used == [12, 14, 16, 18, 20]
+
+
+def test_fit_rejects_short_series():
+    with pytest.raises(ValueError):
+        fit_exponential(coefficients(1, 5))  # only one non-zero entry
+    with pytest.raises(ValueError):
+        fit_exponential(coefficients(3, 3))
+
+
+def test_fit_rejects_negative_coefficients():
+    entries = [(2, Fraction(1)), (4, Fraction(-1)), (6, Fraction(2)),
+               (8, Fraction(3)), (10, Fraction(4))]
+    with pytest.raises(ValueError, match="negative"):
+        fit_exponential(entries)
+
+
+def test_root_test_two_photon_decays_to_zero():
+    # sinh² is entire: |c_m|^(1/m) must decay towards zero
+    seq = root_test_sequence(coefficients(2, 30))
+    values = [v for _, v in seq]
+    assert values[-1] < values[0]
+    assert values[-1] < 1.0
+
+
+def test_root_test_tri_squeezed_tracks_fitted_alpha():
+    entries = coefficients(3, 20)
+    alpha = fit_exponential(entries)[0]
+    last = root_test_sequence(entries)[-1]
+    assert last[0] == 40
+    assert abs(last[1] - math.exp(alpha)) / math.exp(alpha) < 0.15
+
+
+def test_two_photon_late_window_slope_decreases():
+    # infinite radius: the log-slope over late windows is eventually negative
+    assert fit_exponential(coefficients(2, 30))[0] < 0

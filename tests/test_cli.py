@@ -1,6 +1,7 @@
 import argparse
 import ast
 import cmath
+import csv
 import json
 import math
 import os
@@ -9,7 +10,6 @@ import subprocess
 import sys
 import time
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ import pytest
 import squeezelab
 from squeezelab.algebra import MAX_LEVEL, MAX_M, coefficients, fit_exponential
 from squeezelab.cli import (
-    COEFFS_HEADER,
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -233,11 +232,11 @@ def test_cli_option_surface():
     assert options == {
         "sweep": {"--n", "--out", "--r", "--N"},
         "coeffs": {"--n", "--out", "--M"},
-        "fit": {"--n", "--out", "--M", "--coeffs"},
+        "fit": {"--n", "--out", "--M"},
         "verify": {"--check", "--n", "--levels", "--N", "--r"},
         "compare": {"--n", "--out", "--r", "--N", "--M", "--summary-out"},
     }
-    assert sum(map(len, options.values())) == 22
+    assert sum(map(len, options.values())) == 21
 
 
 def test_library_surface():
@@ -254,12 +253,11 @@ def test_library_surface():
 
 def test_test_modules_mirror_the_source_modules():
     # one test module per source module, plus the two suites that cut across them; a test
-    # module named after a source file that went fails here. test_series (series.py went
-    # earlier) is the one module still to fold into test_algebra and test_cli (ROADMAP item 8)
+    # module named after a source file that went fails here
     sources = {path.stem for path in Path(squeezelab.__file__).parent.glob("*.py")}
     tests = {path.stem for path in Path(__file__).parent.glob("test_*.py")}
     assert tests == ({f"test_{name}" for name in sources - {"__init__"}}
-                     | {"test_acceptance", "test_demos", "test_series"})
+                     | {"test_acceptance", "test_demos"})
 
 
 @pytest.mark.parametrize("argv", [
@@ -437,6 +435,9 @@ def test_fit_defaults_tri_squeezed(tmp_path, capsys):
     assert 1.89 <= fit["alpha"] <= 2.01
     assert 0.124 <= fit["radius"] <= 0.151
     assert fit["points_used"] == [32, 34, 36, 38, 40]
+    # the library's alpha, bit for bit, and the radius exp(-alpha) of it
+    assert fit["alpha"] == fit_exponential(coefficients(3, 20))[0]
+    assert fit["radius"] * math.exp(fit["alpha"]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_fit_quadri_squeezed(capsys):
@@ -445,45 +446,6 @@ def test_fit_quadri_squeezed(capsys):
     fit = json.loads(out)
     assert 0.02 <= fit["radius"] <= 0.045
     assert 3.1 <= fit["alpha"] <= 3.7
-
-
-def test_fit_of_written_coefficients_matches_direct_fit(tmp_path, capsys):
-    # coeffs writes every c_m exactly, so fitting the file prints the same bytes
-    path = str(tmp_path / "coeffs.csv")
-    assert run(capsys, "coeffs", "--n", "3", "--M", "20", "--out", path)[0] == EXIT_OK
-    from_file = run(capsys, "fit", "--coeffs", path)
-    assert from_file[0] == EXIT_OK
-    assert from_file[1] == run(capsys, "fit", "--n", "3", "--M", "20")[1]
-
-
-def coefficient_file(tmp_path, rows):
-    """A coefficient CSV: the list `rows` under the coeffs header, or a string as the whole file."""
-    path = tmp_path / "coeffs.csv"
-    path.write_text(rows if isinstance(rows, str) else "\n".join([COEFFS_HEADER, *rows]) + "\n")
-    return str(path)
-
-
-@pytest.mark.parametrize("rows", [
-    ["3,2,18.5,1,18.5"],  # non-integer numerator
-    ["3,2,18,0,inf"],  # zero denominator
-    ["3,2,18"],  # missing fields
-    ["3,2,18,1,18", "4,2,96,1,96"],  # two orders
-    ["3,2,18,1,18", "3,4,-1188,1,-1188", "3,2,18,1,18"],  # a power twice
-    pytest.param([], id="header-only"),
-    pytest.param("a,b\n3,2,18,1,18\n", id="wrong-header"),
-    pytest.param("", id="empty-file"),
-])
-def test_fit_bad_coefficient_file_is_usage_error(tmp_path, capsys, rows):
-    code, out, err = run(capsys, "fit", "--coeffs", coefficient_file(tmp_path, rows))
-    assert code == EXIT_USAGE and out == ""
-    assert err.startswith("usage error: ") and err.count("\n") == 1
-
-
-def test_fit_missing_coefficient_file_is_usage_error(tmp_path, capsys):
-    code, out, err = run(capsys, "fit", "--coeffs", str(tmp_path / "missing.csv"))
-    assert code == EXIT_USAGE and out == ""
-    assert err.startswith("usage error: ") and err.count("\n") == 1
-    assert "missing.csv" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,24 +458,6 @@ def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("usage error: cannot write ") and err.count("\n") == 1
-
-
-def test_fit_from_synthetic_file(tmp_path, capsys):
-    # a file of c_m = e^m gives alpha = 1 back, the computed n = 3 series the library's alpha,
-    # and for both `fit` prints the radius exp(-alpha)
-    rows = []
-    for m in range(2, 21, 2):
-        c = Fraction(math.exp(m))
-        rows.append(f"0,{m},{c.numerator},{c.denominator},{float(c):.17g}")
-    fits = []
-    for argv in (["fit", "--coeffs", coefficient_file(tmp_path, rows)],
-                 ["fit", "--n", "3", "--M", "10"]):
-        code, out, _ = run(capsys, *argv)
-        assert code == EXIT_OK
-        fits.append(json.loads(out))
-        assert fits[-1]["radius"] * math.exp(fits[-1]["alpha"]) == pytest.approx(1.0, rel=1e-15)
-    assert fits[0]["alpha"] == pytest.approx(1.0, abs=1e-9)
-    assert fits[1]["alpha"] == fit_exponential(coefficients(3, 10))[0]
 
 
 def test_verify_closed_form_check(capsys):
@@ -638,6 +582,69 @@ def test_compare_requires_truncation_pair(capsys):
     assert "usage error" in err
 
 
+def run_compare(tmp_path, capsys, n, N_pair, M, r_spec):
+    """Rows of `squeezelab compare` (floats, and converged as a bool) and its summary."""
+    out, summary = tmp_path / "compare.csv", tmp_path / "summary.json"
+    code, _, err = run(capsys, "compare", "--n", str(n), "--N", N_pair, "--M", str(M),
+                       "--r", r_spec, "--out", str(out), "--summary-out", str(summary))
+    assert code == EXIT_OK, err
+    with open(out) as handle:
+        rows = [
+            {key: value == "true" if key == "converged" else float(value)
+             for key, value in row.items()}
+            for row in csv.DictReader(handle)
+        ]
+    return rows, json.loads(summary.read_text())
+
+
+def test_compare_table_zero_row(tmp_path, capsys):
+    rows, _ = run_compare(tmp_path, capsys, 3, "501,502", 5, "0:0:1")
+    row = rows[0]
+    assert row["numeric_N"] == 0.0
+    assert row["numeric_Nprime"] == 0.0
+    assert row["taylor"] == 0.0
+    assert row["converged"]
+
+
+def test_compare_inside_radius_converges(tmp_path, capsys):
+    rows, _ = run_compare(tmp_path, capsys, 3, "2001,2002", 20, "0:0.05:0.01")
+    assert len(rows) == 6
+    assert all(row["converged"] for row in rows)
+    for row in rows:
+        assert row["diff_num"] <= 1e-6
+        assert row["diff_taylor"] <= 1e-6
+
+
+def test_compare_beyond_radius_disagrees(tmp_path, capsys):
+    rows, summary = run_compare(tmp_path, capsys, 3, "3000,3001", 20, "0.3:0.3:1")
+    assert not rows[0]["converged"]
+    assert summary["first_disagreement_r"] == 0.3
+
+
+def test_compare_two_photon_never_disagrees(tmp_path, capsys):
+    rows, summary = run_compare(tmp_path, capsys, 2, "800,801", 30, "0:0.5:0.05")
+    assert len(rows) == 11
+    assert all(row["converged"] for row in rows)
+    assert summary["first_disagreement_r"] is None
+
+
+def test_compare_csv_schema_and_summary(tmp_path, capsys):
+    rows, summary = run_compare(tmp_path, capsys, 3, "501,502", 5, "0:0.01:0.01")
+    lines = (tmp_path / "compare.csv").read_text().strip().split("\n")
+    assert lines[0] == "r,numeric_N,numeric_Nprime,taylor,diff_num,diff_taylor,converged"
+    assert len(lines) == 3
+    assert summary["N_pair"] == [501, 502]
+    assert summary["agree_tol"] == 1e-6
+    assert summary["estimated_radius"] == pytest.approx(math.exp(-summary["alpha"]))
+
+
+def test_compare_summary_without_a_fit(tmp_path, capsys):
+    # n = 1 has a single non-zero coefficient: the table is still written, with no radius
+    rows, summary = run_compare(tmp_path, capsys, 1, "100,101", 5, "0:0.1:0.1")
+    assert all(row["converged"] for row in rows)
+    assert summary["estimated_radius"] is None and summary["alpha"] is None
+
+
 MODULES_PROBE = """
 import sys
 import {module}
@@ -691,8 +698,7 @@ def test_coeffs_and_fit_never_import_scipy(tmp_path):
     ("squeezelab", [], EXIT_OK, False),
     ("squeezelab.cli", [], EXIT_OK, False),
     ("squeezelab.cli", [["coeffs", "--n", "3", "--M", "6", "--out", "coeffs.csv"],
-                        ["fit", "--n", "3", "--M", "6", "--out", "fit.json"],
-                        ["fit", "--coeffs", "coeffs.csv", "--out", "fit2.json"]], EXIT_OK, False),
+                        ["fit", "--n", "3", "--M", "6", "--out", "fit.json"]], EXIT_OK, False),
     ("squeezelab.cli", [["verify", "--check", check]
                         for check in ("closed-form", "positivity", "c2", "odd-zero")], EXIT_OK, False),
     ("squeezelab.cli", [["coeffs", "--n", "0"]], EXIT_USAGE, False),

@@ -1,3 +1,4 @@
+import argparse
 import re
 import runpy
 import shlex
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from squeezelab.cli import COEFFS_HEADER, COMPARE_HEADER, SWEEP_HEADER, main
+from squeezelab.cli import COEFFS_HEADER, COMPARE_HEADER, SWEEP_HEADER, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -38,12 +39,14 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
 
 
 def test_readme_cli_commands_run(tmp_path, monkeypatch):
-    # every documented `squeezelab` line, in order, so `fit --coeffs` reads what `coeffs` wrote
+    # every documented `squeezelab` line runs, and together they show every subcommand
     blocks = re.findall(r"^```sh\n(.*?)^```$", (ROOT / "README.md").read_text(),
                         re.MULTILINE | re.DOTALL)
     commands = [line for line in "".join(blocks).replace("\\\n", " ").splitlines()
                 if line.startswith("squeezelab ")]
-    assert "squeezelab fit --coeffs coeffs.csv" in commands
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert {line.split()[1] for line in commands} == set(subcommands)
     monkeypatch.chdir(tmp_path)
     for line in commands:
         assert main(shlex.split(line, comments=True)[1:]) == 0, line

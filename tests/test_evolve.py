@@ -118,6 +118,11 @@ def test_rejects_non_finite_parameter(r):
         generator(3, r, 10)
     with pytest.raises(ValueError):
         expm_state(3, r, 10)
+    # a non-finite r is a bad argument, not a finite |r| whose phase overflows
+    prop = VacuumSectorPropagator(3, 300)
+    for call in (prop.grid_diagnostics, prop.chain_grid):
+        with pytest.raises(ValueError, match="finite"):
+            call([0.1, r])
 
 
 def test_generator_band_matches_repeated_product():
@@ -462,6 +467,20 @@ def test_expm_subnormal_r_is_vacuum_without_warning():
         warnings.simplefilter("error")
         w = expm_state(1, 5e-324, 2)
     assert np.array_equal(w, vacuum(2))
+
+
+def test_expm_r_whose_generator_overflows_is_refused():
+    # at (3, 64) the largest generator entry is |r| amp_max; with amp_max = sqrt(61 62 63),
+    # half the largest double over it still gives a unit-norm state, while 0.9 of it
+    # overflows the eigenvalues and 1e307 the generator itself: both were nan before
+    amp_max = math.sqrt(61 * 62 * 63)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = expm_state(3, 0.5 * np.finfo(float).max / amp_max, 64)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
+        for r in (0.9 * np.finfo(float).max / amp_max, 1e307, -1e307j):
+            with pytest.raises(BudgetExceededError, match=r"\|r\| on 64 levels > floating-point range$"):
+                expm_state(3, r, 64)
 
 
 def test_expm_refuses_oversized_truncation():
