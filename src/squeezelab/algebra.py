@@ -187,32 +187,35 @@ def coefficients(n: int, M: int) -> list[tuple[int, Fraction]]:
     return entries
 
 
-def taylor_partial_sum(entries: list[tuple[int, Fraction]], r: float) -> float:
-    """Partial sum of the (m, c_m) series at r, exact until one final rounding.
+def taylor_partial_sum(entries: list[tuple[int, Fraction]], r_values) -> list[float]:
+    """Partial sums of the (m, c_m) series at each r of `r_values`, exact until one final rounding.
 
-    Over one common denominator D, with a_m = c_m D and r = k / 2^e exactly,
-    the sum is  sum_m a_m k^m 2^(e(P-m)) / (D 2^(eP))  for the top power P.
+    Over one common denominator D, set up once per call with a_m = c_m D, and r = k / 2^e
+    exactly, the sum is  sum_m a_m k^m 2^(e(P-m)) / (D 2^(eP))  for the top power P.
     Horner's rule runs on that integer numerator, each step multiplying by k
     to the gap down to the next lower power, so the powers m may have any
-    gaps.  The one int / int division is correctly rounded, as float() of
-    the same rational is.
+    gaps.  The one int / int division per r is correctly rounded, as float()
+    of the same rational is.
     """
-    if not 0 <= r < math.inf:  # refuses nan too
-        raise ValueError(f"need finite r >= 0, got r={r}")
-    k, scale = r.as_integer_ratio()  # scale = 2^e
-    e = scale.bit_length() - 1
-    terms = sorted(entries, reverse=True)
-    D = math.lcm(*(c.denominator for _, c in terms))
-    top = power = terms[0][0] if terms else 0
-    total = 0
-    for m, c in terms:
-        total = total * k ** (power - m) + (c.numerator * (D // c.denominator) << e * (top - m))
-        power = m
-    total *= k**power
-    try:
-        return total / (D << e * top)
-    except OverflowError:
-        return math.inf if total > 0 else -math.inf
+    D = math.lcm(*(c.denominator for _, c in entries))
+    scaled = sorted(((m, c.numerator * (D // c.denominator)) for m, c in entries), reverse=True)
+    top = scaled[0][0] if scaled else 0
+    sums = []
+    for r in r_values:
+        if not 0 <= r < math.inf:  # refuses nan too
+            raise ValueError(f"need finite r >= 0, got r={r}")
+        k, scale = r.as_integer_ratio()  # scale = 2^e
+        e = scale.bit_length() - 1
+        total, power = 0, top
+        for m, a in scaled:
+            total = total * k ** (power - m) + (a << e * (top - m))
+            power = m
+        total *= k**power
+        try:
+            sums.append(total / (D << e * top))
+        except OverflowError:
+            sums.append(math.inf if total > 0 else -math.inf)
+    return sums
 
 
 def fit_exponential(entries: list[tuple[int, Fraction]]) -> tuple[float, float, list[int]]:

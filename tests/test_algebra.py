@@ -334,23 +334,27 @@ def test_nested_commutator_matrix_oracle(n, m):
 
 
 def test_taylor_partial_sum_zero():
-    assert taylor_partial_sum(coefficients(3, 5), 0.0) == 0.0
+    assert taylor_partial_sum(coefficients(3, 5), [0.0]) == [0.0]
+
+
+def test_taylor_partial_sum_of_an_empty_grid():
+    assert taylor_partial_sum(coefficients(3, 5), []) == []
 
 
 def test_taylor_partial_sum_two_photon():
     sinh2 = math.sinh(0.2) ** 2
-    assert taylor_partial_sum(coefficients(2, 20), 0.1) == pytest.approx(sinh2, abs=1e-12)
+    assert taylor_partial_sum(coefficients(2, 20), [0.1]) == [pytest.approx(sinh2, abs=1e-12)]
     # a series read from a file may hold any set of powers, gaps included
     gapped = [(2, Fraction(4)), (8, Fraction(-1, 3)), (11, Fraction(5))]
     half = Fraction(1, 2)
-    assert taylor_partial_sum(gapped, 0.5) == float(4 * half**2 - half**8 / 3 + 5 * half**11)
+    assert taylor_partial_sum(gapped, [0.5]) == [float(4 * half**2 - half**8 / 3 + 5 * half**11)]
 
 
 def test_taylor_matches_numeric_inside_radius():
     from squeezelab.evolve import VacuumSectorPropagator
 
     numeric = VacuumSectorPropagator(3, 2000).grid_diagnostics([0.05])[0][0]
-    assert taylor_partial_sum(coefficients(3, 20), 0.05) == pytest.approx(numeric, abs=1e-6)
+    assert taylor_partial_sum(coefficients(3, 20), [0.05]) == [pytest.approx(numeric, abs=1e-6)]
 
 
 def fraction_taylor_sum(entries, r):
@@ -374,23 +378,27 @@ gapped_series = st.lists(
                                             st.integers(1, 10**30))),
     max_size=12, unique_by=lambda term: term[0],
 )
-# 0, subnormals, and normal doubles up to where most of these series overflow
-taylor_points = st.one_of(st.just(0.0), st.floats(0, 2.2250738585072014e-308),
+# 0, -0, subnormals, and normal doubles up to where most of these series overflow
+taylor_points = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0, 2.2250738585072014e-308),
                           st.floats(0, 1e7))
+# unsorted grids, each with its first point repeated at the end
+taylor_grids = st.lists(taylor_points, min_size=1, max_size=8).map(lambda rs: rs + rs[:1])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(entries=gapped_series, r=taylor_points)
-def test_taylor_partial_sum_matches_fraction_horner(entries, r):
+@given(entries=gapped_series, r_values=taylor_grids)
+def test_taylor_partial_sum_matches_fraction_horner(entries, r_values):
     # .hex() tells -0.0 from 0.0 and compares every bit
-    assert taylor_partial_sum(entries, r).hex() == fraction_taylor_sum(entries, r).hex()
+    assert [x.hex() for x in taylor_partial_sum(entries, r_values)] == [
+        fraction_taylor_sum(entries, r).hex() for r in r_values]
 
 
 def test_taylor_partial_sum_overflows_where_the_exact_series_does():
     # at n = 3, M = 60 the partial sum passes the largest double from r = 32.89 on
     entries = coefficients(3, 60)
-    assert taylor_partial_sum(entries, 33.0) == fraction_taylor_sum(entries, 33.0) == math.inf
-    assert taylor_partial_sum(entries, 32.8) == fraction_taylor_sum(entries, 32.8) < math.inf
+    sums = taylor_partial_sum(entries, [33.0, 32.8])
+    assert sums[0] == fraction_taylor_sum(entries, 33.0) == math.inf
+    assert sums[1] == fraction_taylor_sum(entries, 32.8) < math.inf
 
 
 def coeffs_csv(n, M):
@@ -413,13 +421,12 @@ def test_coefficient_csv_decimal_beyond_double_range():
 
 def test_taylor_partial_sum_beyond_double_range():
     entries = [(2, Fraction(10**400))]
-    assert taylor_partial_sum(entries, 1.0) == math.inf
-    assert taylor_partial_sum(entries, 1e-200) == pytest.approx(1.0)
+    assert taylor_partial_sum(entries, [1.0, 1e-200]) == [math.inf, pytest.approx(1.0)]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_taylor_partial_sum_overflow_keeps_sign(sign):
-    assert taylor_partial_sum([(2, Fraction(sign * 10**300))], 1e10) == sign * math.inf
+    assert taylor_partial_sum([(2, Fraction(sign * 10**300))], [1e10]) == [sign * math.inf]
 
 
 NUMPY_FREE_PROBE = """
@@ -443,8 +450,9 @@ def test_algebra_runs_without_numpy_or_package_imports():
 
 @pytest.mark.parametrize("r", [-0.1, math.nan, math.inf])
 def test_taylor_partial_sum_refuses_r_outside_finite_nonnegative(r):
-    with pytest.raises(ValueError):
-        taylor_partial_sum(coefficients(3, 5), r)
+    for at in range(3):  # one bad point anywhere in the grid
+        with pytest.raises(ValueError):
+            taylor_partial_sum(coefficients(3, 5), [0.01, 0.02][:at] + [r] + [0.01, 0.02][at:])
 
 
 def test_coefficient_csv_schema():

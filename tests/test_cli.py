@@ -141,6 +141,20 @@ def test_compare_refuses_one_regular_file_for_both_outputs(tmp_path, capsys, mon
     assert (tmp_path / "link.csv").is_symlink()  # the caller's link stays, dangling or not
 
 
+def test_unwritable_path_never_removes_what_it_does_not_name(tmp_path, capsys, monkeypatch):
+    # "missing/../keep.csv" does not exist, as missing/ does not, yet it resolves to keep.csv
+    monkeypatch.chdir(tmp_path)
+    keep = tmp_path / "keep.csv"
+    keep.write_text("kept\n")
+    for out in ("missing/../keep.csv", "", "missing/.."):
+        code, stdout, err = run(capsys, "sweep", "--n", "3", "--N", "100", "--r", "0:0.01:0.01",
+                                "--out", out)
+        assert code == EXIT_USAGE and stdout == ""
+        assert err.startswith("usage error: cannot write ") and err.count("\n") == 1, err
+    assert keep.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["keep.csv"]
+
+
 def test_output_to_a_device_is_written_without_truncating_it(capsys):
     # a character device has no length to truncate
     sweep = ("sweep", "--n", "3", "--N", "100", "--r", "0:0.01:0.01", "--out", os.devnull)
@@ -494,9 +508,9 @@ def test_verify_odd_zero_check_asks_the_oracle_not_the_chain(capsys, monkeypatch
     assert out == "".join(f"PASS odd-coefficients-zero n={n}\n" for n in (1, 2, 3, 4))
 
 
-@pytest.mark.xfail(strict=True, reason="false FAIL at n >= 16, ROADMAP item 2: |norm-1| is "
-                   "4.4e-16, but the oracle's own gap at r = 0.1 is 1.09e-10 > AMPLITUDE_TOL")
 def test_verify_norm_check_passes_a_working_n16_chain(capsys):
+    # the oracle gap, 1.09e-10, is the phases' rounding floor: over AMPLITUDE_TOL, under
+    # the tolerance 4 eps sqrt(16!) r = 4.1e-10
     code, out, _ = run(capsys, "verify", "--n", "16", "--check", "norm")
     assert code == EXIT_OK, out
 
@@ -525,6 +539,9 @@ def test_verify_catches_a_broken_chain(capsys, monkeypatch, corrupt, failing):
         assert code == EXIT_CHECK_FAILED and err == ""
         lines = out.splitlines()
         assert len(lines) == 4 and all(line.startswith("FAIL ") for line in lines)
+        # the n = 16 tolerance, raised to the rounding floor, still sees a broken chain
+        code, out, _ = run(capsys, "verify", "--n", "16", "--check", check)
+        assert code == EXIT_CHECK_FAILED and out.startswith("FAIL "), out
 
 
 def test_verify_phase_spread_comes_from_the_oracle(capsys, monkeypatch):
@@ -560,6 +577,10 @@ def test_verify_says_when_a_check_had_nothing_to_check(capsys):
         EXIT_OK, "PASS monotonic n=40 (certified region r <= 0 (1 points, vacuous))\n")
     assert run(capsys, "verify", "--n", "40", "--check", "convex")[:2] == (
         EXIT_OK, "PASS convex n=40 (0 interior points, vacuous)\n")
+    # the oracle tolerance 4 eps sqrt(n!) 0.1 is 0.26 at n = 29 and 1.4 at n = 30
+    for n in (29, 30):
+        code, out, _ = run(capsys, "verify", "--n", str(n), "--check", "norm")
+        assert code == EXIT_OK and out.endswith(", vacuous)\n") == (n == 30), out
 
 
 def test_compare_all_converged_below_radius(tmp_path, capsys):
@@ -636,6 +657,15 @@ def test_compare_csv_schema_and_summary(tmp_path, capsys):
     assert summary["N_pair"] == [501, 502]
     assert summary["agree_tol"] == 1e-6
     assert summary["estimated_radius"] == pytest.approx(math.exp(-summary["alpha"]))
+
+
+def test_compare_over_several_csv_blocks(tmp_path, capsys):
+    # 10001 rows, three 4096-row blocks; the pair stops agreeing near r = 0.093
+    rows, summary = run_compare(tmp_path, capsys, 3, "1002,1003", 20, "0:0.2:0.00002")
+    assert len(rows) == 10001
+    first = next(i for i, row in enumerate(rows) if row["r"] > 0 and not row["converged"])
+    assert first > 4096
+    assert summary["first_disagreement_r"] == rows[first]["r"]
 
 
 def test_compare_summary_without_a_fit(tmp_path, capsys):
