@@ -59,7 +59,9 @@ _CSV_BLOCK = 1 << 12  # rows that _csv formats at once, column by column
 # 2**OPENBLAS_THREAD_TIMEOUT cycles (2**28 by default) before it sleeps.  The minimum, 4,
 # puts it to sleep at once.  It only decides how the idle thread waits, never how a product
 # is split, so output bytes do not change.  On 2 cores at OPENBLAS_NUM_THREADS=2, verify's
-# CPU time fell 0.73 -> 0.43 s and sweep's 0.42 -> 0.28 s, with wall time unchanged.
+# CPU time fell 0.73 -> 0.43 s and sweep's 0.42 -> 0.28 s, with wall time unchanged.  Waking
+# the sleeping worker costs more than it saves in the chain build's small eigensolves, so
+# evolve runs the chain on one thread (verify's wall time then fell 0.297 -> 0.232 s).
 BLAS_THREAD_TIMEOUT = "4"
 
 

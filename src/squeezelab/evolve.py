@@ -17,9 +17,15 @@ arrays; `squeezelab.cli` tabulates them as the sweep and compare tables.
 dense Hermitian eigendecomposition of the full `generator`, sharing no code
 with the chain's Lanczos solver.  The dense `generator` lives here for that
 oracle only; the chain needs just its couplings.  Nothing here loads scipy.
+The chain is built and evaluated on one OpenBLAS thread, so its bits, and
+every output computed from it, do not depend on the caller's thread count.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -44,11 +50,47 @@ WINDOW_TOL = 1e-15
 # Largest chain amplitude error: of the |0> its eigenpairs rebuild, and to verify's oracle.
 AMPLITUDE_TOL = 1e-10
 # Bytes a chain build may hold in Krylov basis, L x (m + 1) eigenvectors and Ritz
-# temporaries: at the cap, n = 1 at N = 23500 peaks at 416 MB RSS (10 s, os.wait4).
+# temporaries: at the cap, n = 1 at N = 23500 peaks at 418 MB RSS (7 s, os.wait4).
 MAX_CHAIN_BYTES = 1 << 28
 # Entries of the one tile of sites x values of r that grid_diagnostics reduces
 # at a time (256 KB of real |psi|^2, so it stays in cache between its passes).
 _TILE_ENTRIES = 1 << 15
+
+
+def _find_openblas():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS; None on other numpy builds."""
+    for path in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        lib = ctypes.CDLL(str(path))  # the copy that numpy has loaded already
+        with contextlib.suppress(AttributeError):
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+_OPENBLAS = _find_openblas()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block, or the decorated call, on one OpenBLAS thread, then restore the count.
+
+    Products and small LAPACK eigensolves then give the same bits at every thread
+    count and wake no sleeping worker.  The count is per process, so threads that
+    enter at once may restore each other's.  Where numpy bundles no scipy-openblas
+    (_OPENBLAS is None) it does nothing: the block runs on the caller's threads.
+    """
+    if _OPENBLAS is None:
+        yield
+        return
+    get_threads, set_threads = _OPENBLAS
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _forward_solver(diag: np.ndarray, sub: np.ndarray):
@@ -218,7 +260,7 @@ class VacuumSectorPropagator:
         self.size = size
         sites = chain_length(n, size)
         try:  # underflow stays quiet: the bidiagonal solves rely on it
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with np.errstate(divide="raise", over="raise", invalid="raise"), _one_blas_thread():
                 chain = _chain_eigensystem(n, size)
         except (FloatingPointError, OverflowError) as exc:
             raise BudgetExceededError(f"{sites}-site chain", "floating-point range") from exc
@@ -252,6 +294,7 @@ class VacuumSectorPropagator:
             return out
         return fill
 
+    @_one_blas_thread()
     def chain_grid(self, r_values) -> np.ndarray:
         """Chain amplitudes for every r in `r_values`, one column per r.
 
@@ -264,6 +307,7 @@ class VacuumSectorPropagator:
         # with the gauge phase (i e^{i arg r})^j that leaves (-1)^(j//2) e^{ij arg r}
         return out * (1.0 - 2.0 * (j // 2 % 2))[:, None] * np.exp(1j * np.outer(j, np.angle(r)))
 
+    @_one_blas_thread()  # at n = 1 the tiles' products give other bits on two threads
     def grid_diagnostics(self, r_values) -> tuple[np.ndarray, ...]:
         """Mean photon number, leakage and norm error at every r in `r_values`.
 
@@ -325,6 +369,7 @@ def expm_state(n: int, r: complex, size: int) -> np.ndarray:
         raise BudgetExceededError(f"|r| on {size} levels", "floating-point range") from exc
 
 
+@_one_blas_thread()  # its dot product splits over two threads from 10^4 sites
 def second_derivative_check(n: int, r: float, size: int,
                             h: float = 1e-3) -> tuple[float, float, float]:
     """(fd, bulk, wall): d²<a†a>/dr² by finite differences, and its exact terms.

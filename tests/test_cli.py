@@ -801,3 +801,25 @@ def test_output_bytes_do_not_depend_on_the_blas_thread_timeout(tmp_path, argv):
         for variables in ({}, {"OPENBLAS_THREAD_TIMEOUT": "28"})
     ]
     assert outputs[0] == outputs[1] and len(outputs[0]) > 1000
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS caps its threads at the usable cores: both runs would match")
+@pytest.mark.parametrize("argv", [
+    # chains long enough that two BLAS threads split the build's products and eigensolves
+    ["sweep", "--n", "1", "--N", "2000,2001", "--r", "0:1:0.01"],
+    ["sweep", "--n", "3", "--N", "60000,60001", "--r", "0:1:0.005"],
+    # here they split grid_diagnostics' products too
+    ["sweep", "--n", "1", "--N", "2000,2001", "--r", "0:1:0.005"],
+], ids=["sweep-n1", "sweep-n3-paper-scale", "sweep-n1-grid"])
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # the chain is built and evaluated on one BLAS thread, whatever the caller's count
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "squeezelab.cli", *argv], cwd=tmp_path,
+            env=probe_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+            capture_output=True, check=True, timeout=120,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 10000

@@ -327,6 +327,88 @@ def test_chain_too_long_for_the_unrolled_solve_is_refused():
             VacuumSectorPropagator(n, size)
 
 
+BUNDLED_OPENBLAS = pytest.mark.skipif(
+    evolve._OPENBLAS is None, reason="numpy bundles no OpenBLAS whose thread count can be set")
+
+
+def test_bundled_openblas_is_found():
+    # on numpy's scipy-openblas wheels the chain build must find the library; should a
+    # numpy release move it, the bytes would depend on the thread count again unnoticed
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    assert blas != "scipy-openblas" or evolve._OPENBLAS is not None
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread count getter, with the count set to 2 for the test and restored after."""
+    get_threads, set_threads = evolve._OPENBLAS
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+def record_build_threads(monkeypatch, get_threads, build=evolve._chain_eigensystem):
+    """Patch the chain build to note the OpenBLAS thread count it runs at; returns the notes."""
+    seen = []
+
+    def recorded(n, size):
+        seen.append(get_threads())
+        return build(n, size)
+    monkeypatch.setattr(evolve, "_chain_eigensystem", recorded)
+    return seen
+
+
+@BUNDLED_OPENBLAS
+def test_chain_builds_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads):
+    seen = record_build_threads(monkeypatch, blas_threads)
+    VacuumSectorPropagator(1, 2001)
+    assert seen == [1] and blas_threads() == 2
+
+
+@BUNDLED_OPENBLAS
+def test_chain_is_evaluated_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads):
+    prop = VacuumSectorPropagator(1, 2001)
+    seen, evaluate = [], VacuumSectorPropagator._real_amplitudes
+
+    def recorded(self, mag):
+        seen.append(blas_threads())
+        return evaluate(self, mag)
+    monkeypatch.setattr(VacuumSectorPropagator, "_real_amplitudes", recorded)
+    prop.chain_grid([0.1, 0.2j])
+    prop.grid_diagnostics(np.linspace(0, 1, 300))  # two column tiles
+    assert seen == [1, 1, 1] and blas_threads() == 2
+    couplings, seen[:] = evolve.chain_couplings, []
+
+    def recorded_couplings(n, length):
+        seen.append(blas_threads())
+        return couplings(n, length)
+    monkeypatch.setattr(evolve, "chain_couplings", recorded_couplings)
+    second_derivative_check(1, 0.3, 2001)
+    # the build's couplings, grid_diagnostics, the check's own couplings (its dot follows), chain_grid
+    assert seen == [1] * 4 and blas_threads() == 2
+
+
+@BUNDLED_OPENBLAS
+def test_refused_chain_build_restores_the_blas_thread_count(monkeypatch, blas_threads):
+    def overflowing(n, size):
+        raise FloatingPointError("overflow encountered in multiply")
+    seen = record_build_threads(monkeypatch, blas_threads, build=overflowing)
+    with pytest.raises(BudgetExceededError, match="floating-point range$"):
+        VacuumSectorPropagator(3, 6001)
+    assert seen == [1] and blas_threads() == 2
+
+
+@BUNDLED_OPENBLAS
+def test_chain_builds_on_the_callers_threads_without_bundled_openblas(monkeypatch, blas_threads):
+    pinned = VacuumSectorPropagator(3, 6001)
+    seen = record_build_threads(monkeypatch, blas_threads)
+    monkeypatch.setattr(evolve, "_OPENBLAS", None)
+    fallback = VacuumSectorPropagator(3, 6001)
+    assert seen == [2] and blas_threads() == 2
+    np.testing.assert_allclose(fallback.eigvals, pinned.eigvals, rtol=1e-14)
+
+
 def test_r_whose_phase_overflows_is_refused():
     # lambda |r| overflows from |r| = 1.79e308 / lambda_max, about 4.1e304 at (3, 6000); unchecked,
     # cos and sin give nan past it, and nan fails none of certify_truncation_pair's tests
