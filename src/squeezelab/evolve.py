@@ -6,12 +6,15 @@ exactly to a real symmetric tridiagonal chain over levels 0, n, 2n, ...  Its
 eigenpairs come in pairs (lambda, v), (-lambda, S v) with S = diag((-1)^j),
 so only the lambda >= 0 eigenpairs that overlap |0> are computed, once per
 (n, N), by a numpy-only shift-invert Lanczos iteration on the even-site block
-of the squared chain, grown until its eigenpairs hold |0> to WINDOW_TOL.  A
-grid of r is then two real matrix products, cosines for the even sites and
-sines for the odd ones, which the diagnostics square and sum in place, one
-256 KB tile of sites x r at a time, without forming complex amplitudes.  This
-makes sweeps over hundreds of r values at N ~ 10^4 cheap.  The module returns
-arrays; `squeezelab.cli` tabulates them as the sweep and compare tables.
+of the squared chain, grown until its eigenpairs hold |0> to WINDOW_TOL.  Their
+vectors are kept on the even sites only, as an odd site is one bidiagonal solve
+of the even ones.  A grid of r is then two real matrix products, cosines for the
+even sites and sines for the odd ones, whose odd-site factor is that solve, a
+running sum down the chain formed chunk by chunk; the diagnostics square and sum
+the products in place, one 256 KB tile of sites x r at a time, without forming
+complex amplitudes.  This makes sweeps over hundreds of r values at N ~ 10^4
+cheap.  The module returns arrays; `squeezelab.cli` tabulates them as the sweep
+and compare tables.
 
 `expm_state` is the independent oracle for cross-checks at small N: one
 dense Hermitian eigendecomposition of the full `generator`, sharing no code
@@ -49,11 +52,13 @@ MAX_ORACLE_SIZE = 2048
 WINDOW_TOL = 1e-15
 # Largest chain amplitude error: of the |0> its eigenpairs rebuild, and to verify's oracle.
 AMPLITUDE_TOL = 1e-10
-# Bytes a chain build may hold in Krylov basis, L x (m + 1) eigenvectors and Ritz
-# temporaries: at the cap, n = 1 at N = 23500 peaks at 418 MB RSS (7 s, os.wait4).
+# Bytes a chain build may hold in Krylov basis, ceil(L/2) x (m + 1) even-site eigenvectors
+# and Ritz temporaries: n = 1 is refused from about N = 30500 (odd N from 30509, even N
+# from 30560 or less), and N = 30508 peaks at 349 MB RSS (10.5 s, os.wait4).
 MAX_CHAIN_BYTES = 1 << 28
 # Entries of the one tile of sites x values of r that grid_diagnostics reduces
-# at a time (256 KB of real |psi|^2, so it stays in cache between its passes).
+# at a time (256 KB of real |psi|^2, so it stays in cache between its passes), and
+# of the odd-site solves of eigenvectors that the build and an evaluation hold at once.
 _TILE_ENTRIES = 1 << 15
 
 
@@ -93,25 +98,26 @@ def _one_blas_thread():
         set_threads(threads)
 
 
-def _forward_solver(diag: np.ndarray, sub: np.ndarray):
-    """Solver for the lower bidiagonal system diag[k] u[k] + sub[k-1] u[k-1] = x[k].
+def _forward_factors(diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, inverse) solving the lower bidiagonal diag[k] u[k] + sub[k-1] u[k-1] = x[k].
 
     The recurrence is unrolled into a cumulative product and a cumulative
-    sum, so one solve (of a vector, or of every column of a matrix) is a few
-    vector operations.  The running product of -sub[k-1] / diag[k] must stay
-    in floating-point range.  For the chain's systems it moves by at most a
-    power of the chain length, except for n = 1, where it falls like
-    exp(-sqrt(N)): near N = 5 10^5 it underflows, and 1 / (diag * scale)
-    divides by zero, which VacuumSectorPropagator refuses.
+    sum, u = scale * cumsum(inverse * x), so one solve (of a vector, or of
+    every column of a matrix) is a few vector operations.  The running
+    product of -sub[k-1] / diag[k] must stay in floating-point range.  For
+    the chain's systems it moves by at most a power of the chain length,
+    except for n = 1, where it falls like exp(-sqrt(N)): near N = 5 10^5 it
+    underflows, and 1 / (diag * scale) divides by zero, which
+    VacuumSectorPropagator refuses.
     """
     scale = np.cumprod(np.concatenate(([1.0], -sub / diag[1:])))
-    inverse = 1.0 / (diag * scale)
+    return scale, 1.0 / (diag * scale)
 
-    def solve(x: np.ndarray) -> np.ndarray:
-        shape = (-1,) + (1,) * (x.ndim - 1)
-        return scale.reshape(shape) * np.cumsum(x * inverse.reshape(shape), axis=0)
 
-    return solve
+def _forward_solve(factors: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """u = scale * cumsum(inverse * x) down the first axis of x, for (scale, inverse) = factors."""
+    scale, inverse = (f.reshape((-1,) + (1,) * (x.ndim - 1)) for f in factors)
+    return scale * np.cumsum(x * inverse, axis=0)
 
 
 def _shifted_inverse(d: np.ndarray, s: np.ndarray, size: int, shift: float):
@@ -129,9 +135,9 @@ def _shifted_inverse(d: np.ndarray, s: np.ndarray, size: int, shift: float):
         pivots.append(d2_k + g)
     c = np.sqrt(pivots)
     sub = s[:size - 1] * d[:size - 1] / c[:-1]  # C[k, k-1]
-    lower = _forward_solver(c, sub)
-    upper = _forward_solver(c[::-1], sub[::-1])  # C^T, solved from the last row
-    return lambda x: upper(lower(x)[::-1])[::-1]
+    lower = _forward_factors(c, sub)
+    upper = _forward_factors(c[::-1], sub[::-1])  # C^T, solved from the last row
+    return lambda x: _forward_solve(upper, _forward_solve(lower, x)[::-1])[::-1]
 
 
 def _chain_eigensystem(n: int, size: int):
@@ -163,13 +169,16 @@ def _chain_eigensystem(n: int, size: int):
     starts at 8 vectors and grows by a quarter, at least 8, until eta =
     sum_i |S_0i S_{m-1,i}| over the eigenvectors S of the Lanczos matrix is at
     most WINDOW_TOL, a step ending 10% past where the secant of two etas below
-    1e-3 crosses it in log eta.  Every Ritz vector y is kept and gives the odd
-    sites x = lambda B^+ y and lambda = 1 / |B^+ y| by one forward B solve,
-    which damps the rounding in y where B^T y / lambda would amplify it.
+    1e-3 crosses it in log eta.  Every Ritz vector y is kept, and its odd sites
+    x = lambda B^+ y give lambda = 1 / |B^+ y| by one forward B solve, which
+    damps the rounding in y where B^T y / lambda would amplify it.  The solve
+    runs on a few columns at a time and only its norms are kept: an
+    evaluation forms the odd sites of its combination of eigenvectors instead.
 
-    Returns (eigenvalues, eigenvectors as C-ordered columns, their weights
-    w = 2 v_0, or z_0 for the zero mode, discarded = eta, or 0 once the
-    basis spans the space).
+    Returns (eigenvalues, the eigenvectors' even sites sqrt(1/2) y as C-ordered
+    columns, of ceil(L/2) rows, their weights w = 2 v_0, or z_0 for the zero
+    mode, discarded = eta, or 0 once the basis spans the space, and the
+    (scale, inverse) factors of B^+ on the first floor(L/2) even sites).
     """
     b = np.sqrt(np.array(chain_couplings(n, chain_length(n, size) - 1), dtype=float))
     length = len(b) + 1
@@ -193,7 +202,7 @@ def _chain_eigensystem(n: int, size: int):
     alpha, beta, last = [], [], None
     m = dim if dim <= 32 else 8  # a short chain is solved whole
     while True:
-        if 8 * ((locked + 1 + m) * n_even + length * (m + 1) + 3 * m * m) > MAX_CHAIN_BYTES:
+        if 8 * ((locked + 1 + m) * n_even + n_even * (m + 1) + 3 * m * m) > MAX_CHAIN_BYTES:
             raise BudgetExceededError(f"{length}-site chain", f"{MAX_CHAIN_BYTES >> 20} MB")
         basis = np.concatenate([basis, np.empty((m - len(alpha), n_even))])
         for k in range(len(alpha), m):
@@ -212,7 +221,8 @@ def _chain_eigensystem(n: int, size: int):
             if k + 1 < dim:
                 beta.append(norm)
                 basis[row + 1] = w / norm
-        lanczos = np.diag(alpha) + np.diag(beta[:m - 1], 1) + np.diag(beta[:m - 1], -1)
+        lanczos = np.diag(alpha)
+        lanczos.flat[1::m + 1] = lanczos.flat[m::m + 1] = beta[:m - 1]
         S = np.linalg.eigh(lanczos)[1]
         eta = float(np.abs(S[0] * S[-1]).sum())
         if eta <= WINDOW_TOL or m == dim:
@@ -223,34 +233,39 @@ def _chain_eigensystem(n: int, size: int):
             step = min(step, max(4, int(1.1 * ahead) + 2))
         last = m, eta
         m = min(m + step, dim)
-    V = np.empty((length, m + locked))
+    odd_sites = _forward_factors(d, s[:n_odd - 1])  # B^+ on the first n_odd even sites
+    E = np.empty((n_even, m + locked))
     # Ritz vectors y on the even sites, largest Ritz value (smallest lambda) first
-    V[0::2, :m] = basis[locked:locked + m].T @ S[:, ::-1]
+    np.matmul(basis[locked:locked + m].T, S[:, ::-1], out=E[:, :m])
     del basis
-    V[1::2, :m] = _forward_solver(d, s[:n_odd - 1])(V[0:2 * n_odd:2, :m])
-    inv_lam = np.linalg.norm(V[1::2, :m], axis=0)
-    V[1::2, :m] /= inv_lam
-    V[:, :m] *= np.sqrt(0.5)
+    inv_lam = np.empty(m)
+    block = max(1, _TILE_ENTRIES // n_odd)  # columns of y whose odd sites are solved at once
+    for first in range(0, m, block):
+        cols = slice(first, min(first + block, m))
+        inv_lam[cols] = np.linalg.norm(_forward_solve(odd_sites, E[:n_odd, cols]), axis=0)
+    E[:, :m] *= np.sqrt(0.5)
     lam = 1.0 / inv_lam
-    weights = 2 * V[0, :m]
+    weights = 2 * E[0, :m]
     if locked:
-        V[0::2, m] = zero_mode
-        V[1::2, m] = 0.0
+        E[:, m] = zero_mode
         lam = np.append(lam, 0.0)
         weights = np.append(weights, zero_mode[0])
-    return lam, V, weights, 0.0 if m == dim else eta
+    return lam, E, weights, 0.0 if m == dim else eta, odd_sites
 
 
 class VacuumSectorPropagator:
     """Exact evolution of exp(r a†^n - r* a^n)|0> on a truncated basis.
 
-    Solves the vacuum-sector chain once for the eigenpairs that carry |0>;
-    a whole grid of r then costs two real matrix products, even sites by
-    cosines and odd sites by sines, of size L/2 x k by k x len(grid), with
-    L ~ N/n the chain length; their squares are |amplitude|^2.  `discarded`
-    is eta of the last eigensolve of :func:`_chain_eigensystem`, 0 when the
-    basis spans the chain.  A chain whose eigenpairs rebuild |0> no closer
-    than AMPLITUDE_TOL is refused, as is one out of floating-point range.
+    Solves the vacuum-sector chain once for the eigenpairs that carry |0> and
+    keeps their vectors on the even sites only: `eigvecs` is ceil(L/2) x k, with
+    L ~ N/n the chain length.  A whole grid of r then costs two real matrix
+    products of size L/2 x k by k x len(grid): the even sites by cosines, and the
+    odd sites, B^+ of the even ones (see :func:`_chain_eigensystem`) formed on the
+    way as a running sum down the chain, by lambda-weighted sines.  Their squares
+    are |amplitude|^2.  `discarded` is eta of the last eigensolve of
+    :func:`_chain_eigensystem`, 0 when the basis spans the chain.  A chain whose
+    eigenpairs rebuild |0> no closer than AMPLITUDE_TOL is refused, as is one out
+    of floating-point range.
     """
 
     def __init__(self, n: int, size: int):
@@ -264,18 +279,21 @@ class VacuumSectorPropagator:
                 chain = _chain_eigensystem(n, size)
         except (FloatingPointError, OverflowError) as exc:
             raise BudgetExceededError(f"{sites}-site chain", "floating-point range") from exc
-        self.eigvals, self.eigvecs, self._weights, self.discarded = chain
-        self.levels = n * np.arange(len(self.eigvecs))
+        self.eigvals, self.eigvecs, self._weights, self.discarded, self._odd_sites = chain
+        self.levels = n * np.arange(sites)
         # every Ritz pair is kept, so only rounding parts what they rebuild at r = 0 from |0>
-        error = np.linalg.norm(self.eigvecs[0::2] @ self._weights - np.eye(1, (sites + 1) // 2))
+        error = np.linalg.norm(self.eigvecs @ self._weights - np.eye(1, len(self.eigvecs)))
         if not error <= AMPLITUDE_TOL:  # refuses nan too
             raise BudgetExceededError(f"{sites}-site chain", "floating-point precision")
 
     def _real_amplitudes(self, mag: np.ndarray):
         """fill(start, out): chain amplitudes at |r| = mag on sites start (even), start + 1, ...
 
-        They hold up to a phase of modulus 1 per site: V_even (w cos(lambda |r|)) on even sites
-        and V_odd (w sin(lambda |r|)) on odd ones, and the exact vacuum where |r| = 0.
+        They hold up to a phase of modulus 1 per site: E (w cos(lambda |r|)) on even sites
+        and (B^+ E) (lambda w sin(lambda |r|)) on odd ones, and the exact vacuum where |r| = 0.
+        B^+ E is a running sum down the chain, formed a chunk of odd sites at a time, so fill
+        must be called on consecutive tiles from start = 0: it carries the partial sums, one
+        per eigenvector, from each chunk to the next, and a tile gets the bits of one tile.
         A non-finite |r| is a ValueError; one at which lambda |r| overflows is refused, not nan.
         """
         largest = float(mag.max(initial=0.0))  # nan if any value is
@@ -284,12 +302,23 @@ class VacuumSectorPropagator:
         if not np.isfinite(float(self.eigvals.max()) * largest):
             raise BudgetExceededError(f"|r| on a {len(self.levels)}-site chain", "floating-point range")
         angles = np.outer(self.eigvals, mag)
-        even, odd = (f(angles) * self._weights[:, None] for f in (np.cos, np.sin))
+        even = np.cos(angles) * self._weights[:, None]
+        odd = np.sin(angles) * (self.eigvals * self._weights)[:, None]
+        scale, inverse = self._odd_sites
+        carry = np.zeros(len(self.eigvals))  # the running sums of inverse * E, one per eigenvector
+        chunk = max(1, _TILE_ENTRIES // len(self.eigvals))  # odd sites whose solves are held at once
 
         def fill(start: int, out: np.ndarray) -> np.ndarray:
-            sites = self.eigvecs[start:start + len(out)]
-            np.matmul(sites[0::2], even, out=out[0::2])
-            np.matmul(sites[1::2], odd, out=out[1::2])
+            sites = self.eigvecs[start // 2:(start + len(out) + 1) // 2]
+            np.matmul(sites, even, out=out[0::2])
+            for first in range(0, len(out) // 2, chunk):
+                k = slice(start // 2 + first, start // 2 + min(first + chunk, len(out) // 2))
+                solves = self.eigvecs[k] * inverse[k, None]
+                solves[0] += carry
+                np.cumsum(solves, axis=0, out=solves)
+                carry[:] = solves[-1]
+                solves *= scale[k, None]
+                np.matmul(solves, odd, out=out[1::2][first:first + chunk])
             out[:, mag == 0] = np.eye(len(out), 1, start)  # 1 on site 0, which is row -start
             return out
         return fill
@@ -301,7 +330,7 @@ class VacuumSectorPropagator:
         Row j is the amplitude on level jn; all other levels are exactly zero.
         """
         r = np.asarray(r_values, dtype=complex).reshape(-1)
-        j = np.arange(len(self.eigvecs))
+        j = np.arange(len(self.levels))
         out = self._real_amplitudes(np.abs(r))(0, np.empty((len(j), len(r))))
         # exp(-i T |r|) e0 is real on even sites and -i times real on odd sites;
         # with the gauge phase (i e^{i arg r})^j that leaves (-1)^(j//2) e^{ij arg r}

@@ -398,8 +398,8 @@ def test_chain_too_long_for_the_solver_exits_with_budget_code(capsys):
 def test_chain_build_over_its_memory_cap_exits_with_budget_code(capsys, monkeypatch):
     argv = ("sweep", "--n", "1", "--N", "2000", "--r", "0:0.1:0.1")
     assert run(capsys, *argv)[0] == EXIT_OK
-    # the (1, 2000) build keeps 246 Ritz pairs, about 7 MB of basis, eigenvectors and Ritz
-    # temporaries; at a 4 MB cap a growth step is refused before it allocates
+    # the (1, 2000) build keeps 246 Ritz pairs, about 5.4 MB of basis, even-site eigenvectors
+    # and Ritz temporaries; at a 4 MB cap a growth step is refused before it allocates
     monkeypatch.setattr(squeezelab.evolve, "MAX_CHAIN_BYTES", 1 << 22)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BUDGET and out == ""
@@ -513,6 +513,20 @@ def test_verify_norm_check_passes_a_working_n16_chain(capsys):
     # the tolerance 4 eps sqrt(16!) r = 4.1e-10
     code, out, _ = run(capsys, "verify", "--n", "16", "--check", "norm")
     assert code == EXIT_OK, out
+
+
+def test_verify_phase_check_passes_working_chains_and_refuses_above_its_order(capsys):
+    # at n = 15 the oracle puts 1.58e-9 off the chain, 78 eps sqrt(15!) |r|, and at n = 17 and
+    # 21 its <N> spreads by 1.5e-8 and 3.2e-6 over the angles: its rounding, not the chain's
+    for n in (15, 17, 21):
+        code, out, _ = run(capsys, "verify", "--n", str(n), "--check", "phase")
+        assert code == EXIT_OK, out
+    for argv in (("--check", "phase"), ()):  # the whole suite runs the phase check too
+        code, out, err = run(capsys, "verify", "--n", "22", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("usage error: verify's phase check resolves nothing above n = 21: 22; "
+                       "choose another --check\n")
+    assert run(capsys, "verify", "--n", "22", "--check", "norm")[0] == EXIT_OK
 
 
 def _absolute(amplitudes, levels):

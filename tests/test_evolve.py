@@ -275,9 +275,11 @@ def test_zero_mode_matches_lapack(n, size):
         tol=2 * np.finfo(float).tiny,
     )
     lapack = lapack[:, 0] * np.sign(lapack[0, 0])
+    # the chain keeps the zero mode on its even sites only; on the odd ones it is zero
     zero_mode = prop.eigvecs[:, -1]
-    assert np.all(zero_mode[1::2] == 0.0)
-    assert np.abs(zero_mode * np.sign(zero_mode[0]) - lapack).max() <= 1e-15
+    assert len(zero_mode) == (length + 1) // 2
+    assert np.abs(lapack[1::2]).max() <= 1e-15
+    assert np.abs(zero_mode * np.sign(zero_mode[0]) - lapack[0::2]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("n,size", [(1, 40), (2, 101), (3, 64), (4, 97)])
@@ -309,10 +311,52 @@ def test_window_starts_at_eight_aims_at_the_tolerance_and_falls_back_to_full_cha
         wide = VacuumSectorPropagator(n, size)
         assert wide.eigvecs.shape[1] == columns
         assert wide.discarded <= WINDOW_TOL
-    # a basis that spans the chain keeps every positive eigenvalue and leaves nothing out
+    # a basis that spans the chain keeps every positive eigenvalue and leaves nothing out;
+    # its 22 sites keep their eigenvectors on the 11 even ones
     full = VacuumSectorPropagator(3, 64)
-    assert full.eigvecs.shape == (22, 11)
+    assert full.eigvecs.shape == (11, 11)
     assert full.discarded == 0.0
+
+
+def test_chain_build_holds_its_basis_and_even_site_eigenvectors_only():
+    # (1, 6000) keeps hundreds of Ritz pairs: at its peak the build holds the Krylov basis,
+    # the ceil(L/2) x (m + 1) even-site eigenvectors and a few m x m Lanczos arrays, with no
+    # full-size temporary beside them and no odd-site block
+    tracemalloc.start()
+    try:
+        prop = VacuumSectorPropagator(1, 6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_even, m = prop.eigvecs.shape
+    assert n_even == 3000 and m > 400
+    assert peak <= 8 * ((m + 2) * n_even + n_even * (m + 1) + 3 * m * m)
+
+
+def test_odd_sites_carry_their_sum_across_row_tiles(monkeypatch):
+    # the eigenvectors' odd sites are one bidiagonal solve, a running sum down the chain;
+    # split into row tiles it carries each tile's last partial sums, so the amplitudes
+    # keep their bits
+    prop = VacuumSectorPropagator(1, 2000)
+    r_grid = np.linspace(0.0, 16.0, 16)  # a displacement: <N> = r^2 reaches site 256 and past
+    evaluate, tiles = VacuumSectorPropagator._real_amplitudes, []
+
+    def recorded(self, mag):
+        fill = evaluate(self, mag)
+        return lambda start, out: tiles.append((start, fill(start, out).copy())) or out
+    monkeypatch.setattr(VacuumSectorPropagator, "_real_amplitudes", recorded)
+    whole = prop.grid_diagnostics(r_grid)  # 16 values of r by up to 2048 sites: one tile
+    assert [start for start, _ in tiles] == [0]
+    one_tile = tiles.pop()[1]
+    assert (one_tile[256:, -1] ** 2).sum() > 1e-3
+    # the same 16-column width, 128 rows per tile
+    monkeypatch.setattr(evolve, "_TILE_ENTRIES", 16 * 128)
+    tiled = prop.grid_diagnostics(r_grid)
+    assert [start for start, _ in tiles] == list(range(0, 2000, 128))
+    assert np.array_equal(np.concatenate([tile for _, tile in tiles]), one_tile)
+    # only the order of the diagnostics' own sums changes
+    np.testing.assert_allclose(tiled[0], whole[0], rtol=1e-14)
+    assert np.abs(tiled[2] - whole[2]).max() <= 1e-15
 
 
 def test_chain_too_long_for_the_unrolled_solve_is_refused():
