@@ -29,7 +29,7 @@ print(f"certified converged region: r <= {r_ok}")
 
 r_probe = [0.05, 0.1, 0.3, 0.6, 1.0]
 photons_a, photons_b = (
-    VacuumSectorPropagator(n, N).grid_diagnostics(r_probe)[0] for N in N_pair
+    VacuumSectorPropagator(n, N).grid_diagnostics(r_probe).mean_photon for N in N_pair
 )
 for r, pa, pb in zip(r_probe, photons_a, photons_b):
     tag = "agree" if abs(pa - pb) <= 1e-6 * max(pa, 1) else "DIVERGED"

@@ -20,8 +20,7 @@ from .algebra import (
     verify_closed_form,
 )
 
-_EVOLVE_NAMES = ("VacuumSectorPropagator", "certify_truncation_pair", "expm_state",
-                 "generator", "second_derivative_check")
+_EVOLVE_NAMES = ("VacuumSectorPropagator", "certify_truncation_pair", "expm_state", "generator")
 
 __all__ = [
     "algebra", "evolve",

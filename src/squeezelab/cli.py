@@ -200,8 +200,9 @@ def cmd_sweep(args) -> int:
     stats = {N: evolve.VacuumSectorPropagator(args.n, N).grid_diagnostics(r_grid)
              for N in parse_n_list(args.N)}  # every N, before the first line is written
     blocks = ((repeat(str(args.n)), repeat(str(N)),
-               *(_floats(a[first:first + _CSV_BLOCK]) for a in (r_grid, *stats[N])), repeat("ok"))
-              for N in stats for first in range(0, len(r_grid), _CSV_BLOCK))
+               *(_floats(a[first:first + _CSV_BLOCK])
+                 for a in (r_grid, s.mean_photon, s.leakage, s.norm_error)), repeat("ok"))
+              for N, s in stats.items() for first in range(0, len(r_grid), _CSV_BLOCK))
     _write((args.out, _csv(SWEEP_HEADER, blocks)))
     return EXIT_OK
 
@@ -252,14 +253,13 @@ def cmd_compare(args) -> int:
     r_grid = parse_r_grid(args.r)
     n_pair = parse_n_list(args.N)
     entries = algebra.coefficients(args.n, args.M)
-    (photons_a, leak_a), (photons_b, leak_b) = (
-        evolve.VacuumSectorPropagator(args.n, N).grid_diagnostics(r_grid)[:2] for N in n_pair
-    )
+    a, b = (evolve.VacuumSectorPropagator(args.n, N).grid_diagnostics(r_grid) for N in n_pair)
+    photons_a, photons_b = a.mean_photon, b.mean_photon
     taylor = np.array(algebra.taylor_partial_sum(entries, r_grid))
     diffs = np.abs(photons_a - photons_b), np.abs(taylor - photons_a)  # the two CSV columns
     converged = ((np.maximum(*diffs) <= evolve.AGREE_TOL)
                  & (np.abs(taylor - photons_b) <= evolve.AGREE_TOL)
-                 & (leak_a <= evolve.LEAK_TOL) & (leak_b <= evolve.LEAK_TOL))
+                 & (a.leakage <= evolve.LEAK_TOL) & (b.leakage <= evolve.LEAK_TOL))
     try:
         alpha = algebra.fit_exponential(entries)[0]
     except ValueError:  # fewer than FIT_POINTS non-zero coefficients
@@ -347,7 +347,7 @@ def _verify_checks(args):
 
     if want in (None, "norm"):
         for n in orders:
-            error = float(chain(n).grid_diagnostics(r_grid)[2].max())
+            error = float(chain(n).grid_diagnostics(r_grid).norm_error.max())
             # the floor passes AMPLITUDE_TOL from n = 15 on and reaches 1 at n = 30 (vacuous)
             gap, tol = oracle_gap(n, 0.1)[0], max(evolve.AMPLITUDE_TOL, rounding(n, 0.1, 4))
             ok = error <= 1e-10 and gap <= tol
@@ -372,18 +372,19 @@ def _verify_checks(args):
             # by default N = n ceil(1000 / n) and N + 1, which give adjacent chains
             N = n * -(-1000 // n)
             n_pair = parse_n_list(args.N) if args.N else [N, N + 1]
-            r_max, photons = evolve.certify_truncation_pair(n, (n_pair[0], n_pair[1]), r_grid)
+            r_max, cols = evolve.certify_truncation_pair(n, (n_pair[0], n_pair[1]), r_grid)
             # r_grid is ascending, so the certified points are a prefix of it
-            values = photons[:np.searchsorted(r_grid, r_max, side="right")]
+            points = int(np.searchsorted(r_grid, r_max, side="right"))
+            vacuous = ", vacuous" * (not r_max > 0)  # no certified r > 0
             if want in (None, "monotonic"):
+                values = cols.mean_photon[:points]
                 mono = bool(np.all(values[1:] >= values[:-1] - 1e-12))
-                yield (f"monotonic n={n}", mono, f"certified region r <= {r_max:g} "
-                       f"({len(values)} points{', vacuous' * (len(values) < 2)})")
-            if want in (None, "convex"):
-                second = values[2:] - 2 * values[1:-1] + values[:-2]
-                convex = bool(np.all(second >= -1e-8 * np.abs(values).max(initial=1.0)))
-                yield (f"convex n={n}", convex,
-                       f"{len(second)} interior points{', vacuous' * (len(second) == 0)}")
+                yield (f"monotonic n={n}", mono,
+                       f"certified region r <= {r_max:g} ({points} points{vacuous})")
+            if want in (None, "convex"):  # the exact curvature of the N_pair[0] chain
+                margin = (cols.bulk[:points] - cols.wall[:points]).min(initial=math.inf)
+                yield (f"convex n={n}", bool(margin >= 0),
+                       f"bulk - wall >= {margin:.3g} at {points} certified points{vacuous}")
 
 
 def cmd_verify(args) -> int:

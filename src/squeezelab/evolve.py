@@ -13,8 +13,10 @@ even sites and sines for the odd ones, whose odd-site factor is that solve, a
 running sum down the chain formed chunk by chunk; the diagnostics square and sum
 the products in place, one 256 KB tile of sites x r at a time, without forming
 complex amplitudes.  This makes sweeps over hundreds of r values at N ~ 10^4
-cheap.  The module returns arrays; `squeezelab.cli` tabulates them as the sweep
-and compare tables.
+cheap.  The reduction gives five named columns per r (:class:`Diagnostics`):
+mean_photon, leakage, norm_error, and the two exact terms of the curvature,
+d^2 mean_photon / dr^2 = bulk - wall on the cut chain.  The module returns
+arrays; `squeezelab.cli` tabulates them as the sweep and compare tables.
 
 `expm_state` is the independent oracle for cross-checks at small N: one
 dense Hermitian eigendecomposition of the full `generator`, sharing no code
@@ -29,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +63,16 @@ MAX_CHAIN_BYTES = 1 << 28
 # at a time (256 KB of real |psi|^2, so it stays in cache between its passes), and
 # of the odd-site solves of eigenvectors that the build and an evaluation hold at once.
 _TILE_ENTRIES = 1 << 15
+
+
+class Diagnostics(NamedTuple):
+    """Per-r columns of :meth:`VacuumSectorPropagator.grid_diagnostics`, which defines them."""
+
+    mean_photon: np.ndarray
+    leakage: np.ndarray
+    norm_error: np.ndarray
+    bulk: np.ndarray
+    wall: np.ndarray
 
 
 def _find_openblas():
@@ -177,11 +190,16 @@ def _chain_eigensystem(n: int, size: int):
 
     Returns (eigenvalues, the eigenvectors' even sites sqrt(1/2) y as C-ordered
     columns, of ceil(L/2) rows, their weights w = 2 v_0, or z_0 for the zero
-    mode, discarded = eta, or 0 once the basis spans the space, and the
-    (scale, inverse) factors of B^+ on the first floor(L/2) even sites).
+    mode, discarded = eta, or 0 once the basis spans the space, the
+    (scale, inverse) factors of B^+ on the first floor(L/2) even sites, and the
+    curvature's weights: 2n (b_j^2 - b_{j-1}^2) per site and 2n b_{L-1}^2 of the cut).
     """
-    b = np.sqrt(np.array(chain_couplings(n, chain_length(n, size) - 1), dtype=float))
-    length = len(b) + 1
+    length = chain_length(n, size)
+    b2 = chain_couplings(n, length)  # b_{L-1}^2, the last, is the coupling the cut removes
+    # bulk's weights are exact integer differences, each rounded once, and wall's
+    curvature = (2 * n * np.diff(np.array(b2, dtype=object), prepend=0).astype(float),
+                 2 * n * float(b2[-1]))
+    b = np.sqrt(np.array(b2[:-1], dtype=float))
     n_even, n_odd = length - length // 2, length // 2
     d, s = b[0::2], b[1::2]  # B[m, m] = d[m], B[m, m-1] = s[m-1]
     shift_invert = _shifted_inverse(d, s, n_even, float(b[0]) ** 2)
@@ -250,7 +268,7 @@ def _chain_eigensystem(n: int, size: int):
         E[:, m] = zero_mode
         lam = np.append(lam, 0.0)
         weights = np.append(weights, zero_mode[0])
-    return lam, E, weights, 0.0 if m == dim else eta, odd_sites
+    return lam, E, weights, 0.0 if m == dim else eta, odd_sites, curvature
 
 
 class VacuumSectorPropagator:
@@ -279,7 +297,8 @@ class VacuumSectorPropagator:
                 chain = _chain_eigensystem(n, size)
         except (FloatingPointError, OverflowError) as exc:
             raise BudgetExceededError(f"{sites}-site chain", "floating-point range") from exc
-        self.eigvals, self.eigvecs, self._weights, self.discarded, self._odd_sites = chain
+        (self.eigvals, self.eigvecs, self._weights, self.discarded, self._odd_sites,
+         (self._bulk_weights, self._wall_weight)) = chain
         self.levels = n * np.arange(sites)
         # every Ritz pair is kept, so only rounding parts what they rebuild at r = 0 from |0>
         error = np.linalg.norm(self.eigvecs @ self._weights - np.eye(1, len(self.eigvecs)))
@@ -337,14 +356,19 @@ class VacuumSectorPropagator:
         return out * (1.0 - 2.0 * (j // 2 % 2))[:, None] * np.exp(1j * np.outer(j, np.angle(r)))
 
     @_one_blas_thread()  # at n = 1 the tiles' products give other bits on two threads
-    def grid_diagnostics(self, r_values) -> tuple[np.ndarray, ...]:
-        """Mean photon number, leakage and norm error at every r in `r_values`.
+    def grid_diagnostics(self, r_values) -> Diagnostics:
+        """The five :class:`Diagnostics` columns at every r in `r_values`.
 
-        Leakage sums the chain sites at the top min(max(10, 2n), N - 1) levels:
-        the generator couples levels in steps of n, so >= 2n catches boundary
-        reflection.  |amplitude|^2 is the square of the real amplitudes at |r|, formed
-        in place, tile by tile, in one buffer of _TILE_ENTRIES (up to _TILE_ENTRIES // 128
-        values of r by as many sites as fit): memory grows with neither chain nor grid.
+        mean_photon is <a†a>, and norm_error is abs(||psi|| - 1).  leakage sums the chain sites
+        at the top min(max(10, 2n), N - 1) levels: the generator couples levels in steps of
+        n, so >= 2n catches boundary reflection.  On this L-site chain d^2 mean_photon / dr^2
+        = bulk - wall exactly: bulk = 2n sum_j (b_j^2 - b_{j-1}^2) |psi_j|^2 = 2n <[a^n, a†^n]>
+        > 0 is the paper's commutator term, and wall = 2n b_{L-1}^2 |psi_{L-1}|^2 >= 0 is left
+        by the coupling b_{L-1} that the cut removed: a truncated curve bends down only through
+        its last site.  |psi|^2 is the square of the real amplitudes at |r|, formed in place,
+        tile by tile, in one buffer of _TILE_ENTRIES (up to _TILE_ENTRIES // 128 values of r by
+        as many sites as fit): memory grows with neither chain nor grid.  bulk is one more
+        product per tile, and wall the last row of the last row tile.
         """
         mag = np.abs(np.asarray(r_values).reshape(-1))
         tail = min(max(10, 2 * self.n), self.size - 1)
@@ -352,7 +376,7 @@ class VacuumSectorPropagator:
         width = max(1, min(len(mag), _TILE_ENTRIES // 128))
         height = _TILE_ENTRIES // width & -2  # even, so every tile starts on an even site
         buffer = np.empty(_TILE_ENTRIES)
-        photons, leakage, norm = np.zeros((3, len(mag)))
+        photons, leakage, norm, bulk, wall = np.zeros((5, len(mag)))
         for first in range(0, len(mag), width):
             cols = slice(first, first + width)
             fill = self._real_amplitudes(mag[cols])
@@ -361,10 +385,12 @@ class VacuumSectorPropagator:
                 probs = buffer[:len(levels) * len(mag[cols])].reshape(len(levels), -1)
                 np.square(fill(start, probs), out=probs)
                 photons[cols] += levels @ probs
+                bulk[cols] += self._bulk_weights[start:start + len(levels)] @ probs
                 leakage[cols] += probs[max(first_edge - start, 0):].sum(axis=0)
                 norm[cols] += probs.sum(axis=0)
+            wall[cols] = self._wall_weight * probs[-1]  # the last tile ends on site L - 1
         np.abs(np.sqrt(norm, out=norm) - 1.0, out=norm)
-        return photons, leakage, norm
+        return Diagnostics(photons, leakage, norm, bulk, wall)
 
 
 def generator(n: int, r: complex, size: int) -> np.ndarray:
@@ -398,33 +424,8 @@ def expm_state(n: int, r: complex, size: int) -> np.ndarray:
         raise BudgetExceededError(f"|r| on {size} levels", "floating-point range") from exc
 
 
-@_one_blas_thread()  # its dot product splits over two threads from 10^4 sites
-def second_derivative_check(n: int, r: float, size: int,
-                            h: float = 1e-3) -> tuple[float, float, float]:
-    """(fd, bulk, wall): d²<a†a>/dr² by finite differences, and its exact terms.
-
-    On the L-site chain the curvature is exactly bulk - wall, where
-    bulk = 2n sum_j (b_j^2 - b_{j-1}^2) |psi_j|^2 = 2n <[a^n, a†^n]> > 0 is the
-    paper's term and wall = 2n b_{L-1}^2 |psi_{L-1}|^2 >= 0 is left by the cut
-    coupling b_{L-1}: a truncated curve bends down only through its last site.
-    So fd = bulk - wall up to the O(h^2) stencil error at every r and N.  <a†a>
-    is even in r, so the stencil point r - h is taken at |r - h|, covering r = 0.
-    """
-    if not (0 <= r < np.inf and 0 < h < np.inf):  # refuses nan too
-        raise ValueError(f"need finite r >= 0 and h > 0, got r={r}, h={h}")
-    prop = VacuumSectorPropagator(n, size)
-    photons = prop.grid_diagnostics([abs(r - h), r, r + h])[0]
-    fd = float(photons[2] - 2 * photons[1] + photons[0]) / h**2
-    b2 = chain_couplings(n, len(prop.levels))
-    commutator = np.array([b - a for a, b in zip([0] + b2, b2)], dtype=float)
-    probs = np.abs(prop.chain_grid([r])[:, 0]) ** 2
-    bulk = 2 * n * float(commutator @ probs)
-    wall = 2 * n * b2[-1] * float(probs[-1])
-    return fd, bulk, wall
-
-
-def certify_truncation_pair(n: int, N_pair: tuple[int, int], r_grid) -> tuple[float, np.ndarray]:
-    """Largest certified grid r, and the mean photon number at N_pair[0] on the sorted grid.
+def certify_truncation_pair(n: int, N_pair: tuple[int, int], r_grid) -> tuple[float, Diagnostics]:
+    """Largest certified grid r, and the :class:`Diagnostics` at N_pair[0] on the sorted grid.
 
     Certifies every grid point r' <= r: leakage at most LEAK_TOL at both
     truncations and relative mean-photon difference at most AGREE_RTOL.
@@ -438,11 +439,9 @@ def certify_truncation_pair(n: int, N_pair: tuple[int, int], r_grid) -> tuple[fl
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
     if not np.isfinite(r_grid).all():  # nan fails every tolerance test, so it would certify
         raise ValueError("r grid values must be finite")
-    (photons_a, leak_a, _), (photons_b, leak_b, _) = (
-        VacuumSectorPropagator(n, int(N)).grid_diagnostics(r_grid) for N in N_pair
-    )
-    scale = np.maximum(np.maximum(np.abs(photons_a), np.abs(photons_b)), 1e-30)
-    fails = (leak_a > LEAK_TOL) | (leak_b > LEAK_TOL)
-    fails |= np.abs(photons_a - photons_b) / scale > AGREE_RTOL
+    a, b = (VacuumSectorPropagator(n, int(N)).grid_diagnostics(r_grid) for N in N_pair)
+    scale = np.maximum(np.maximum(np.abs(a.mean_photon), np.abs(b.mean_photon)), 1e-30)
+    fails = (a.leakage > LEAK_TOL) | (b.leakage > LEAK_TOL)
+    fails |= np.abs(a.mean_photon - b.mean_photon) / scale > AGREE_RTOL
     certified = int(np.argmax(fails)) if fails.any() else len(r_grid)
-    return float(r_grid[certified - 1]) if certified else 0.0, photons_a
+    return float(r_grid[certified - 1]) if certified else 0.0, a

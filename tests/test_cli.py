@@ -259,7 +259,6 @@ def test_library_surface():
         "algebra", "evolve",
         "BudgetExceededError", "commutator_diagonal_value", "generator",
         "VacuumSectorPropagator", "certify_truncation_pair", "expm_state",
-        "second_derivative_check",
         "BosonPoly", "coefficients", "commutator",
         "fit_exponential", "multiply", "taylor_partial_sum", "verify_closed_form",
     }
@@ -582,19 +581,37 @@ def test_verify_monotonic(capsys):
 
 
 def test_verify_says_when_a_check_had_nothing_to_check(capsys):
-    # no n = 4 pair certifies more than r = 0.005 of the default grid, and at n = 40 only r = 0
+    # a check is vacuous when no r > 0 is certified: the default n = 4 pair certifies
+    # r = 0.005 of the default grid, so no line is, and at n = 40 only r = 0 is certified
     code, out, _ = run(capsys, "verify")
-    assert code == EXIT_OK
-    vacuous = [line for line in out.splitlines() if "vacuous" in line]
-    assert vacuous == ["PASS convex n=4 (0 interior points, vacuous)"]
+    assert code == EXIT_OK and "vacuous" not in out
+    assert "PASS convex n=4 (bulk - wall >= 192 at 2 certified points)\n" in out
     assert run(capsys, "verify", "--n", "40", "--check", "monotonic")[:2] == (
         EXIT_OK, "PASS monotonic n=40 (certified region r <= 0 (1 points, vacuous))\n")
+    # at r = 0 the curvature is bulk = 2n n!, and wall = 0
     assert run(capsys, "verify", "--n", "40", "--check", "convex")[:2] == (
-        EXIT_OK, "PASS convex n=40 (0 interior points, vacuous)\n")
+        EXIT_OK, f"PASS convex n=40 (bulk - wall >= {80 * math.factorial(40):.3g} "
+                 "at 1 certified points, vacuous)\n")
     # the oracle tolerance 4 eps sqrt(n!) 0.1 is 0.26 at n = 29 and 1.4 at n = 30
     for n in (29, 30):
         code, out, _ = run(capsys, "verify", "--n", str(n), "--check", "norm")
         assert code == EXIT_OK and out.endswith(", vacuous)\n") == (n == 30), out
+
+
+def test_verify_convex_fails_where_the_wall_exceeds_the_bulk(capsys, monkeypatch):
+    # the check reads the exact curvature bulk - wall: one certified point that bends down fails it
+    grid_diagnostics = squeezelab.evolve.VacuumSectorPropagator.grid_diagnostics
+
+    def bent(self, r_values):
+        cols = grid_diagnostics(self, r_values)
+        cols.wall[1] = 2 * cols.bulk[1]  # r = 0.005, certified at every default order
+        return cols
+    monkeypatch.setattr(squeezelab.evolve.VacuumSectorPropagator, "grid_diagnostics", bent)
+    code, out, err = run(capsys, "verify", "--check", "convex")
+    assert code == EXIT_CHECK_FAILED and err == ""
+    lines = out.splitlines()
+    assert [line.split(" (")[0] for line in lines] == [f"FAIL convex n={n}" for n in (1, 2, 3, 4)]
+    assert all(re.search(r"bulk - wall >= -\S+ at \d+ certified points\)$", line) for line in lines)
 
 
 def test_compare_all_converged_below_radius(tmp_path, capsys):

@@ -15,14 +15,19 @@ from squeezelab.evolve import (
     LEAK_TOL,
     MAX_ORACLE_SIZE,
     WINDOW_TOL,
+    Diagnostics,
     VacuumSectorPropagator,
     certify_truncation_pair,
     chain_length,
     expm_state,
     generator,
-    second_derivative_check,
 )
-from squeezelab.algebra import BudgetExceededError, chain_couplings, commutator_diagonal_value
+from squeezelab.algebra import (
+    BudgetExceededError,
+    chain_couplings,
+    commutator_diagonal_value,
+    ladder_product,
+)
 from squeezelab.cli import SWEEP_HEADER, main
 
 
@@ -412,25 +417,24 @@ def test_chain_builds_on_one_blas_thread_and_restores_the_count(monkeypatch, bla
 
 @BUNDLED_OPENBLAS
 def test_chain_is_evaluated_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_threads):
+    couplings, lists = evolve.chain_couplings, []
+
+    def recorded_couplings(n, length):
+        lists.append(blas_threads())
+        return couplings(n, length)
+    monkeypatch.setattr(evolve, "chain_couplings", recorded_couplings)
     prop = VacuumSectorPropagator(1, 2001)
     seen, evaluate = [], VacuumSectorPropagator._real_amplitudes
 
     def recorded(self, mag):
-        seen.append(blas_threads())
-        return evaluate(self, mag)
+        fill = evaluate(self, mag)
+        # each tile's products, the bulk's among them, follow its fill in the same call
+        return lambda start, out: seen.append(blas_threads()) or fill(start, out)
     monkeypatch.setattr(VacuumSectorPropagator, "_real_amplitudes", recorded)
     prop.chain_grid([0.1, 0.2j])
-    prop.grid_diagnostics(np.linspace(0, 1, 300))  # two column tiles
-    assert seen == [1, 1, 1] and blas_threads() == 2
-    couplings, seen[:] = evolve.chain_couplings, []
-
-    def recorded_couplings(n, length):
-        seen.append(blas_threads())
-        return couplings(n, length)
-    monkeypatch.setattr(evolve, "chain_couplings", recorded_couplings)
-    second_derivative_check(1, 0.3, 2001)
-    # the build's couplings, grid_diagnostics, the check's own couplings (its dot follows), chain_grid
-    assert seen == [1] * 4 and blas_threads() == 2
+    prop.grid_diagnostics(np.linspace(0, 1, 300))  # two column tiles of 16 row tiles
+    # one coupling list per chain, taken in the pinned build; every tile on one thread
+    assert lists == [1] and seen == [1] * 33 and blas_threads() == 2
 
 
 @BUNDLED_OPENBLAS
@@ -507,7 +511,7 @@ def test_multi_block_grid_matches_per_column_chain_grid():
     prop = VacuumSectorPropagator(3, 6000)
     r_grid = np.linspace(0.0, 1.0, 1201)
     assert len(r_grid) > 4 * TILE_WIDTH
-    photons, leak, err = prop.grid_diagnostics(r_grid)
+    photons, leak, err = prop.grid_diagnostics(r_grid)[:3]
     for i in range(0, len(r_grid), 37):
         probs = np.abs(prop.chain_grid([r_grid[i]])[:, 0]) ** 2
         assert photons[i] == pytest.approx(prop.levels @ probs, rel=1e-13, abs=0)
@@ -522,9 +526,9 @@ def test_grid_diagnostics_equals_reductions_of_chain_grid(size):
     r_grid = np.linspace(0.0, 1.0, 1201)
     stats = prop.grid_diagnostics(r_grid)
     assert_diagnostics_match_chain_grid(prop, r_grid, stats)
-    # r = 0 is the exact vacuum in every row tile
-    assert [s[0] for s in stats] == [0.0, 0.0, 0.0]
-    assert [s[0] for s in prop.grid_diagnostics([0.0, 0j])] == [0.0, 0.0, 0.0]
+    # r = 0 is the exact vacuum in every row tile: bulk is 2n b_0^2 = 2n n!, wall 0
+    assert [s[0] for s in stats] == [0.0, 0.0, 0.0, 36.0, 0.0]
+    assert [s[0] for s in prop.grid_diagnostics([0.0, 0j])] == [0.0, 0.0, 0.0, 36.0, 0.0]
     # the diagnostics see only |r|, so a rotated grid gives the bits of its |r| grid
     for theta in (math.pi / 4, math.pi / 2, math.pi):
         rotated = r_grid * np.exp(1j * theta)
@@ -557,7 +561,7 @@ def test_grid_diagnostics_tiles_cover_every_site_and_value(n, size, points, stra
     stats = prop.grid_diagnostics(r_grid)
     assert_diagnostics_match_chain_grid(prop, r_grid, stats)
     if points > 1:
-        assert [s[0] for s in stats] == [0.0, 0.0, 0.0]
+        assert [s[0] for s in stats[:3]] == [0.0, 0.0, 0.0]
     if straddle:
         # rows per tile, and the first site on the top 10 levels
         height = _TILE_ENTRIES // points & -2
@@ -645,13 +649,13 @@ def test_number_operator_expectation_equals_mean_photon():
 def test_leakage_trivial_cases():
     # n = 1, N = 2: the vacuum at r = 0 and |1>, the top level, at r = pi/2
     prop = VacuumSectorPropagator(1, 2)
-    _, leak, _ = prop.grid_diagnostics([0.0, math.pi / 2])
+    leak = prop.grid_diagnostics([0.0, math.pi / 2]).leakage
     assert leak[0] == 0.0
     assert leak[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_converged_state_has_tiny_leakage():
-    _, leak, _ = VacuumSectorPropagator(3, 2000).grid_diagnostics([0.05])
+    leak = VacuumSectorPropagator(3, 2000).grid_diagnostics([0.05]).leakage
     assert leak[0] < 1e-12
 
 
@@ -719,34 +723,34 @@ def test_sweep_csv_format():
     assert lines[1].startswith("2,50,0,")
 
 
+def curvature_at(n, r, size, h=1e-3):
+    """(fd, bulk, wall) at r: the central difference of the mean_photon column, and the
+    exact bulk and wall columns.  <a†a> is even in r, so r - h is taken at |r - h|."""
+    cols = VacuumSectorPropagator(n, size).grid_diagnostics([abs(r - h), r, r + h])
+    fd = float(cols.mean_photon[2] - 2 * cols.mean_photon[1] + cols.mean_photon[0]) / h**2
+    return fd, float(cols.bulk[1]), float(cols.wall[1])
+
+
 def test_second_derivative_at_origin():
     # the vacuum has no weight on the last site: the wall term is exactly 0
-    fd, bulk, wall = second_derivative_check(3, 0.0, 2000)
+    fd, bulk, wall = curvature_at(3, 0.0, 2000)
     assert bulk == pytest.approx(36.0, rel=1e-12) and wall == 0.0
     assert fd == pytest.approx(bulk - wall, rel=1e-4)
-    fd, bulk, wall = second_derivative_check(4, 0.0, 2000)
+    fd, bulk, wall = curvature_at(4, 0.0, 2000)
     assert bulk == pytest.approx(192.0, rel=1e-12) and wall == 0.0
     assert fd == pytest.approx(bulk - wall, rel=1e-3)
 
 
 def test_second_derivative_displacement():
-    fd, bulk, wall = second_derivative_check(1, 0.5, 200)
+    fd, bulk, wall = curvature_at(1, 0.5, 200)
     assert bulk == pytest.approx(2.0, rel=1e-12)
     assert fd == pytest.approx(bulk - wall, rel=1e-6)
 
 
 def test_second_derivative_agreement_inside_radius():
-    fd, bulk, wall = second_derivative_check(3, 0.08, 4000, h=1e-3)
+    fd, bulk, wall = curvature_at(3, 0.08, 4000, h=1e-3)
     assert fd == pytest.approx(bulk - wall, rel=1e-4)
     assert fd > 0 and bulk > 0
-
-
-@pytest.mark.parametrize("r,h", [(math.nan, 1e-3), (math.inf, 1e-3), (-0.1, 1e-3),
-                                 (0.1, math.nan), (0.1, math.inf), (0.1, 0.0)])
-def test_second_derivative_refuses_bad_point_or_step(r, h):
-    # unguarded, a nan r gives (nan, nan, nan): r < 0 and h <= 0 are both False for nan
-    with pytest.raises(ValueError):
-        second_derivative_check(3, r, 100, h=h)
 
 
 @pytest.mark.parametrize("n,size,r,dip,tol", [
@@ -762,10 +766,38 @@ def test_second_derivative_refuses_bad_point_or_step(r, h):
 ])
 def test_second_derivative_is_bulk_minus_wall(n, size, r, dip, tol):
     # tol is 10-25x the O(h^2) stencil error measured at h = 2e-4, relative to bulk
-    fd, bulk, wall = second_derivative_check(n, r, size, h=2e-4)
+    fd, bulk, wall = curvature_at(n, r, size, h=2e-4)
     assert bulk > 0 and wall >= 0
     assert abs(fd - (bulk - wall)) <= tol * bulk
     assert (fd < 0) == dip
+
+
+@pytest.mark.parametrize("n, size, r_max, points", [
+    (1, 2001, 50.0, 300),  # two column tiles of 16 row tiles, the last 81 rows high
+    (3, 6001, 1.2, 201),   # 2001 sites, not a multiple of the 162-row tile: the wall is in a short tile
+])
+def test_tiled_curvature_equals_the_untiled_chain(n, size, r_max, points):
+    prop = VacuumSectorPropagator(n, size)
+    r_grid = np.linspace(0.0, r_max, points)
+    cols = prop.grid_diagnostics(r_grid)
+    probs = np.abs(prop.chain_grid(r_grid)) ** 2
+    b2 = chain_couplings(n, len(prop.levels))  # the last is the coupling the cut removed
+    weights = np.array(np.diff(b2, prepend=0), dtype=float)  # exact int64 differences
+    np.testing.assert_allclose(cols.bulk, 2 * n * (weights @ probs), rtol=1e-14, atol=0)
+    # the n = 1 wall passes through round-off, where only its size next to bulk means anything
+    assert np.all(np.abs(cols.wall - 2 * n * b2[-1] * probs[-1]) <= 1e-14 * cols.bulk)
+    assert cols.wall.max() > cols.bulk[cols.wall.argmax()]  # the grid reaches the last site
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_curvature_weights_are_the_commutators_closed_form(n):
+    # 2n (b_j^2 - b_{j-1}^2) = 2n <jn|[a^n, a†^n]|jn>, each rounded once; at n = 5 the
+    # values pass 2^53, so a float difference of the couplings would not give these bits
+    prop = VacuumSectorPropagator(n, 3000)
+    sites = len(prop.levels)
+    want = [2 * n * float(commutator_diagonal_value(n, j * n)) for j in range(sites)]
+    assert prop._bulk_weights.tolist() == want
+    assert prop._wall_weight == 2 * n * float(ladder_product(n, (sites - 1) * n))
 
 
 def test_converged_region_entire_function():
@@ -818,13 +850,14 @@ def test_certified_region_is_the_prefix_before_the_first_failure(
     def grid_diagnostics(self, r_values):
         assert isinstance(r_values, np.ndarray) and np.array_equal(r_values, r_grid)
         photons, leakage = stats[self.size]
-        return np.array(photons, float), np.array(leakage, float), np.zeros(len(r_grid))
+        zeros = np.zeros(len(r_grid))
+        return Diagnostics(np.array(photons, float), np.array(leakage, float), zeros, zeros, zeros)
 
     monkeypatch.setattr(VacuumSectorPropagator, "grid_diagnostics", grid_diagnostics)
     # an unsorted list is sorted first, so it gives the same radius and photons as the array
     for grid in (np.array(r_grid), r_grid[::-1]):
-        top, photons = certify_truncation_pair(1, (10, 11), grid)
-        assert top == r_max and np.array_equal(photons, photons_a)
+        top, cols = certify_truncation_pair(1, (10, 11), grid)
+        assert top == r_max and np.array_equal(cols.mean_photon, photons_a)
 
 
 @pytest.mark.parametrize("n,N_pair", [(3, (4000, 4001)), (4, (1001, 1004))])
