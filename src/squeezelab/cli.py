@@ -5,10 +5,10 @@ that knows an output format: the library returns numbers, and the three CSV
 tables, the fit and compare JSON and verify's PASS/FAIL lines are all written
 here.  Exit codes: 0 success, 1 usage error, 2 failed verify check, 3 resource
 budget exceeded (--M above algebra.MAX_M, 2 n M above algebra.MAX_LEVEL, over
-MAX_ROWS grid rows or levels, a chain build over evolve.MAX_CHAIN_BYTES, or a
-chain out of floating-point range or precision).  verify checks the chain against
-evolve.expm_state at ORACLE_SIZE levels, so its --n stays below ORACLE_SIZE;
---levels sizes only the closed-form and positivity checks.
+MAX_ROWS grid rows, a chain build over evolve.MAX_CHAIN_BYTES, or a chain out of
+floating-point range or precision).  verify runs one fixed suite, set by the
+VERIFY_* constants, on --n or VERIFY_ORDERS; it checks the chain against
+evolve.expm_state at ORACLE_SIZE levels, so its --n stays below ORACLE_SIZE.
 
 numpy and squeezelab.evolve are imported only inside the code that computes
 in floating point: parse_r_grid, sweep, compare and verify's norm, phase,
@@ -48,10 +48,12 @@ EXIT_CHECK_FAILED = 2
 EXIT_BUDGET = 3
 
 VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
-# Most rows one run may ask for: points times truncations for sweep, points for compare
-# and verify, and verify's levels 0..--levels; rows stream out, and only per-r arrays are held.
-# At the cap, with one BLAS thread, sweep peaks at 66 MB (9 s), compare at 152 MB (22-26 s),
-# verify --check monotonic at 117 MB (3 s) and --check closed-form --n 4 at 15 MB (21 s): under 1 GB.
+VERIFY_LEVELS = 20  # the closed-form and positivity checks cover levels 0..VERIFY_LEVELS
+VERIFY_GRID = "0:0.5:0.005"  # the r grid of the norm, monotonic and convex checks
+VERIFY_PAIR_FROM = 1000  # monotonic and convex certify N = n ceil(1000 / n) and N + 1
+# Most rows one run may ask for: points times truncations for sweep, points for compare; rows
+# stream out, and only per-r arrays are held.  At the cap, with one BLAS thread, sweep peaks at
+# 66 MB (9 s) and compare at 152 MB (22-26 s): under 1 GB.
 MAX_ROWS = 10**6
 ORACLE_SIZE = 64  # levels of the dense oracle that verify checks the chain against
 # verify's phase check compares the chain with the oracle at |r| = 0.08 e^(i theta).  Above
@@ -109,7 +111,7 @@ def parse_n_list(spec: str) -> list[int]:
 
 def check_args(args) -> None:
     """Reject out-of-range numbers, and an r grid over budget, before any work."""
-    for flag, low in (("n", 1), ("M", 1), ("levels", 0)):
+    for flag, low in (("n", 1), ("M", 1)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise UsageError(f"--{flag} must be >= {low}, got {value}")
@@ -119,23 +121,18 @@ def check_args(args) -> None:
             and args.n is not None and args.n > PHASE_MAX_ORDER):
         raise UsageError(f"verify's phase check resolves nothing above n = {PHASE_MAX_ORDER}: "
                          f"{args.n}; choose another --check")
-    if getattr(args, "levels", 0) + 1 > MAX_ROWS:
-        raise BudgetExceededError("levels", MAX_ROWS)
-    orders = [args.n] if args.n is not None else VERIFY_ORDERS
-    order = max(orders)
-    if getattr(args, "N", None) and parse_n_list(args.N)[0] <= order:
+    if args.command not in ("sweep", "compare"):
+        return  # only these two take --N and --r; verify's are the VERIFY_* constants
+    truncations = parse_n_list(args.N)
+    if truncations[0] <= args.n:
         raise UsageError(f"every truncation in --N must exceed the order: {args.N!r}")
-    if args.command == "compare" or (args.command == "verify" and args.N
-                                     and args.check in (None, "monotonic", "convex")):
-        n_pair = parse_n_list(args.N)
-        if len(n_pair) != 2:
-            raise UsageError(f"{args.command} needs exactly two truncations, e.g. --N 6000,6001")
-        for n in orders:
-            if algebra.chain_length(n, n_pair[0]) == algebra.chain_length(n, n_pair[1]):
-                raise UsageError(f"--N {args.N} gives the same n={n} chain twice, "
-                                 f"as floor((N-1)/n) is equal")
-    if getattr(args, "r", None):
-        _r_grid_points(args.r, len(parse_n_list(args.N)) if args.command == "sweep" else 1)
+    if args.command == "compare":
+        if len(truncations) != 2:
+            raise UsageError("compare needs exactly two truncations, e.g. --N 6000,6001")
+        if len({algebra.chain_length(args.n, N) for N in truncations}) == 1:
+            raise UsageError(f"--N {args.N} gives the same n={args.n} chain twice, "
+                             f"as floor((N-1)/n) is equal")
+    _r_grid_points(args.r, len(truncations) if args.command == "sweep" else 1)
 
 
 SWEEP_HEADER = "n,N,r,mean_photon,leakage,norm_error,status"
@@ -290,13 +287,13 @@ def _verify_checks(args):
 
     if want in (None, "closed-form"):
         for n in orders:
-            mismatch = algebra.verify_closed_form(n, max_level=args.levels)
+            mismatch = algebra.verify_closed_form(n, max_level=VERIFY_LEVELS)
             detail = "" if mismatch is None else f"first mismatch at level {mismatch}"
             yield (f"closed-form n={n}", mismatch is None, detail)
 
     if want in (None, "positivity"):
         for n in orders:
-            values = [commutator_diagonal_value(n, m) for m in range(args.levels + 1)]
+            values = [commutator_diagonal_value(n, m) for m in range(VERIFY_LEVELS + 1)]
             ok = all(v > 0 for v in values) and values[0] == math.factorial(n)
             yield (f"positivity n={n}", ok, f"min {min(values)}")
 
@@ -324,7 +321,7 @@ def _verify_checks(args):
 
     from . import evolve
 
-    r_grid = parse_r_grid(args.r)
+    r_grid = parse_r_grid(VERIFY_GRID)
     chain = functools.cache(lambda n: evolve.VacuumSectorPropagator(n, ORACLE_SIZE))
 
     def oracle_gap(n: int, r: complex) -> tuple[float, float]:
@@ -369,22 +366,21 @@ def _verify_checks(args):
 
     if want in (None, "monotonic", "convex"):
         for n in orders:
-            # by default N = n ceil(1000 / n) and N + 1, which give adjacent chains
-            N = n * -(-1000 // n)
-            n_pair = parse_n_list(args.N) if args.N else [N, N + 1]
-            r_max, cols = evolve.certify_truncation_pair(n, (n_pair[0], n_pair[1]), r_grid)
+            N = n * -(-VERIFY_PAIR_FROM // n)  # N and N + 1 give adjacent chains
+            r_max, cols = evolve.certify_truncation_pair(n, (N, N + 1), r_grid)
             # r_grid is ascending, so the certified points are a prefix of it
             points = int(np.searchsorted(r_grid, r_max, side="right"))
             vacuous = ", vacuous" * (not r_max > 0)  # no certified r > 0
+            pair = f", N = {N},{N + 1}"
             if want in (None, "monotonic"):
                 values = cols.mean_photon[:points]
                 mono = bool(np.all(values[1:] >= values[:-1] - 1e-12))
                 yield (f"monotonic n={n}", mono,
-                       f"certified region r <= {r_max:g} ({points} points{vacuous})")
-            if want in (None, "convex"):  # the exact curvature of the N_pair[0] chain
+                       f"certified region r <= {r_max:g} ({points} points{vacuous}){pair}")
+            if want in (None, "convex"):  # the exact curvature of the N chain
                 margin = (cols.bulk[:points] - cols.wall[:points]).min(initial=math.inf)
                 yield (f"convex n={n}", bool(margin >= 0),
-                       f"bulk - wall >= {margin:.3g} at {points} certified points{vacuous}")
+                       f"bulk - wall >= {margin:.3g} at {points} certified points{vacuous}{pair}")
 
 
 def cmd_verify(args) -> int:
@@ -428,15 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=20)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
+    p = sub.add_parser("verify", help="run the invariant suite", description=(
+        f"Run the invariant suite on levels 0..{VERIFY_LEVELS}, the r grid {VERIFY_GRID} "
+        f"and the truncation pair N = n ceil({VERIFY_PAIR_FROM}/n), N + 1."))
     p.add_argument("--check", default=None, choices=[
         "closed-form", "positivity", "c2", "odd-zero", "norm", "phase",
         "monotonic", "convex",
     ])
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--levels", type=int, default=20)
-    p.add_argument("--N", default=None, help="truncation pair for monotonicity")
-    p.add_argument("--r", default="0:0.5:0.005", help="grid as start:stop:step")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compare", help="Taylor partial sum vs truncated numerics")

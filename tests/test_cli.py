@@ -16,13 +16,17 @@ import numpy as np
 import pytest
 
 import squeezelab
-from squeezelab.algebra import MAX_LEVEL, MAX_M, coefficients, fit_exponential
+from squeezelab.algebra import MAX_LEVEL, MAX_M, chain_length, coefficients, fit_exponential
 from squeezelab.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
     MAX_ROWS,
+    VERIFY_GRID,
+    VERIFY_LEVELS,
+    VERIFY_ORDERS,
+    VERIFY_PAIR_FROM,
     build_parser,
     main,
     parse_n_list,
@@ -72,6 +76,15 @@ def test_default_truncations_give_distinct_chains(command):
     for n in range(1, 7):
         lengths = [(N - 1) // n for N in pairs]
         assert len(set(lengths)) == len(lengths)
+
+
+def test_verify_pairs_give_adjacent_chains(capsys):
+    # verify's pair is fixed, so no argument check refuses one that repeats a chain
+    code, out, _ = run(capsys, "verify", "--check", "monotonic")
+    pairs = re.findall(r"^PASS monotonic n=(\d+) \(.*, N = (\d+),(\d+)\)$", out, re.MULTILINE)
+    assert code == EXIT_OK and [int(n) for n, _, _ in pairs] == list(VERIFY_ORDERS)
+    for n, N, N_next in pairs:
+        assert chain_length(int(n), int(N_next)) - chain_length(int(n), int(N)) == 1
 
 
 def test_sweep_row_count(tmp_path, capsys):
@@ -175,14 +188,9 @@ def test_output_to_a_device_is_written_without_truncating_it(capsys):
     ["sweep", "--N", "4,5", "--n", "4"],
     ["compare", "--N", "3,4", "--n", "3"],
     ["verify", "--n", "-1", "--check", "c2"],
-    ["verify", "--check", "positivity", "--levels", "-1"],
     ["verify", "--n", "0"],
-    ["verify", "--check", "monotonic", "--N", "4,5"],
-    ["verify", "--check", "monotonic", "--n", "3", "--N", "1000,1000"],
+    ["compare", "--N", "1000,1000"],
     # N and N' that keep the same levels 0, n, 2n, ... give one chain twice
-    ["verify", "--check", "monotonic", "--n", "3", "--N", "1000,1001"],
-    ["verify", "--check", "convex", "--N", "1000,1002"],
-    ["verify", "--N", "4000,4001"],
     ["compare", "--N", "4000,4001"],
     ["compare", "--n", "4", "--N", "1001,1003", "--r", "0:0.01:0.01"],
     ["fit", "--n", "1", "--M", "3"],
@@ -193,10 +201,8 @@ def test_output_to_a_device_is_written_without_truncating_it(capsys):
     ["sweep", "--r", "0:1:nan"],
     ["sweep", "--r", "0:1:inf"],
     ["compare", "--r", "0:1:-inf"],
-    ["verify", "--check", "convex", "--r", "inf:inf:1"],
-    # every check reads --r, so a bad grid is refused whichever check runs
-    ["verify", "--check", "c2", "--r", "nonsense"],
-    ["verify", "--check", "closed-form", "--r", "0:nan:0.1"],
+    ["compare", "--r", "inf:inf:1"],
+    ["compare", "--r", "nonsense"],
     # verify compares the chain with a 64-level oracle, so n must stay below 64
     ["verify", "--n", "64"],
     ["verify", "--n", "241"],
@@ -225,6 +231,9 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
     ["verify", "--leak-tol", "1e-10"],
     ["verify", "--agree-tol", "1e-8"],
     ["compare", "--agree-tol", "1e-6"],
+    ["verify", "--levels", "10"],
+    ["verify", "--N", "1002,1003"],
+    ["verify", "--r", "0:0.1:0.1"],
 ])
 def test_parse_errors_exit_with_usage_code(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -247,10 +256,10 @@ def test_cli_option_surface():
         "sweep": {"--n", "--out", "--r", "--N"},
         "coeffs": {"--n", "--out", "--M"},
         "fit": {"--n", "--out", "--M"},
-        "verify": {"--check", "--n", "--levels", "--N", "--r"},
+        "verify": {"--check", "--n"},
         "compare": {"--n", "--out", "--r", "--N", "--M", "--summary-out"},
     }
-    assert sum(map(len, options.values())) == 21
+    assert sum(map(len, options.values())) == 18
 
 
 def test_library_surface():
@@ -276,7 +285,6 @@ def test_test_modules_mirror_the_source_modules():
 @pytest.mark.parametrize("argv", [
     ["sweep", "--n", "3", "--N", "5", "--r", "0:0.1:0.1"],
     ["compare", "--n", "3", "--N", "6,7", "--M", "3", "--r", "0:0.1:0.1"],
-    ["verify", "--check", "monotonic", "--n", "3", "--N", "9,10"],
 ])
 def test_small_truncations_run(capsys, argv):
     # the leakage tail shrinks to N - 1 levels instead of refusing N <= 10
@@ -289,6 +297,13 @@ def test_help_exits_ok(capsys):
     code, out, _ = run(capsys, "sweep", "--help")
     assert code == EXIT_OK
     assert "--tol" not in out
+    # verify's help states its fixed configuration; argparse wraps it, so collapse whitespace
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == EXIT_OK
+    assert (f"Run the invariant suite on levels 0..{VERIFY_LEVELS}, the r grid {VERIFY_GRID} and "
+            f"the truncation pair N = n ceil({VERIFY_PAIR_FROM}/n), N + 1."
+            in " ".join(out.split()))
+    assert "--levels" not in out and "--N" not in out and "--r" not in out
 
 
 def test_sweep_deterministic_output(tmp_path, capsys):
@@ -339,23 +354,12 @@ def test_coeffs_budget_exit_code(capsys):
     assert len(out.strip().split("\n")) == 31
 
 
-def test_verify_levels_do_not_size_the_oracle(capsys):
-    # --levels sizes only the exact checks; the chain is checked against a fixed 64-level oracle
-    code, out, err = run(capsys, "verify", "--levels", "2100")
-    assert code == EXIT_OK and err == ""
-    for n in (1, 2, 3, 4):
-        assert f"PASS closed-form n={n}" in out
-        assert f"PASS norm-preservation n={n} (" in out
-        assert f"PASS phase-invariance n={n} (" in out
-
-
 @pytest.mark.parametrize("argv", [
     ["sweep", "--r", "0:1:1e-9"],
     # 200001 points: under the cap alone, over it at the six default truncations
     ["sweep", "--r", "0:1:5e-6"],
     ["sweep", "--r", "0:1e308:1e-308"],  # the point count overflows to inf
     ["compare", "--r", "0:1:1e-9"],
-    ["verify", "--check", "monotonic", "--r", "0:1:1e-9"],
 ])
 def test_oversized_r_grid_is_refused_before_it_is_built(capsys, argv):
     start = time.perf_counter()
@@ -374,10 +378,6 @@ def test_row_cap_counts_points_times_truncations(capsys, monkeypatch):
         (("sweep", "--r", "0:0.5:0.1", "--N", "10,11"), EXIT_BUDGET),
         (("compare", "--r", "0:0.9:0.1", "--N", "30,31", "--M", "5"), EXIT_OK),
         (("compare", "--r", "0:1:0.1", "--N", "30,31", "--M", "5"), EXIT_BUDGET),
-        # positivity evaluates levels 0..--levels, one row each
-        (("verify", "--check", "positivity", "--n", "1", "--r", "0:0:1", "--levels", "9"), EXIT_OK),
-        (("verify", "--check", "positivity", "--n", "1", "--r", "0:0:1", "--levels", "10"),
-         EXIT_BUDGET),
     ):
         assert run(capsys, *argv)[0] == code
 
@@ -408,11 +408,10 @@ def test_chain_build_over_its_memory_cap_exits_with_budget_code(capsys, monkeypa
 @pytest.mark.parametrize("argv, sites", [
     (["sweep", "--n", "3", "--N", "300", "--r", "1e307:1.5e307:1e307"], 100),
     (["compare", "--n", "3", "--N", "300,301", "--r", "1e307:1.5e307:1e307"], 100),
-    (["verify", "--check", "monotonic", "--n", "3", "--r", "1e307:1.6e307:5e306"], 334),
 ])
 def test_r_whose_phase_overflows_exits_with_budget_code(capsys, argv, sites):
     # unchecked, lambda |r| overflows to inf and cos(inf) is nan, with RuntimeWarnings: sweep
-    # would print nan rows as `ok`, and verify would certify them
+    # would print nan rows as `ok`
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv)
@@ -474,8 +473,7 @@ def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, argv):
 
 
 def test_verify_closed_form_check(capsys):
-    code, out, _ = run(capsys, "verify", "--check", "closed-form", "--n", "4",
-                       "--levels", "10")
+    code, out, _ = run(capsys, "verify", "--check", "closed-form", "--n", "4")
     assert code == EXIT_OK
     assert "PASS closed-form n=4" in out
 
@@ -569,15 +567,14 @@ def test_verify_phase_spread_comes_from_the_oracle(capsys, monkeypatch):
 
 
 def test_verify_monotonic(capsys):
-    code, out, _ = run(capsys, "verify", "--check", "monotonic", "--n", "3",
-                       "--N", "1002,1003", "--r", "0:0.3:0.01")
+    code, out, _ = run(capsys, "verify", "--check", "monotonic", "--n", "3")
     assert code == EXIT_OK
     assert "PASS monotonic n=3" in out
     # the certified points are the grid's prefix that ends at r_max
-    match = re.fullmatch(r"PASS monotonic n=3 \(certified region r <= (\S+) \((\d+) points\)\)\n",
-                         out)
+    match = re.fullmatch(r"PASS monotonic n=3 \(certified region r <= (\S+) \((\d+) points\), "
+                         r"N = 1002,1003\)\n", out)
     points = int(match[2])
-    assert points > 2 and match[1] == f"{parse_r_grid('0:0.3:0.01')[points - 1]:g}"
+    assert points > 2 and match[1] == f"{parse_r_grid(VERIFY_GRID)[points - 1]:g}"
 
 
 def test_verify_says_when_a_check_had_nothing_to_check(capsys):
@@ -585,13 +582,14 @@ def test_verify_says_when_a_check_had_nothing_to_check(capsys):
     # r = 0.005 of the default grid, so no line is, and at n = 40 only r = 0 is certified
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_OK and "vacuous" not in out
-    assert "PASS convex n=4 (bulk - wall >= 192 at 2 certified points)\n" in out
+    assert "PASS convex n=4 (bulk - wall >= 192 at 2 certified points, N = 1000,1001)\n" in out
     assert run(capsys, "verify", "--n", "40", "--check", "monotonic")[:2] == (
-        EXIT_OK, "PASS monotonic n=40 (certified region r <= 0 (1 points, vacuous))\n")
+        EXIT_OK,
+        "PASS monotonic n=40 (certified region r <= 0 (1 points, vacuous), N = 1000,1001)\n")
     # at r = 0 the curvature is bulk = 2n n!, and wall = 0
     assert run(capsys, "verify", "--n", "40", "--check", "convex")[:2] == (
         EXIT_OK, f"PASS convex n=40 (bulk - wall >= {80 * math.factorial(40):.3g} "
-                 "at 1 certified points, vacuous)\n")
+                 "at 1 certified points, vacuous, N = 1000,1001)\n")
     # the oracle tolerance 4 eps sqrt(n!) 0.1 is 0.26 at n = 29 and 1.4 at n = 30
     for n in (29, 30):
         code, out, _ = run(capsys, "verify", "--n", str(n), "--check", "norm")
@@ -611,7 +609,8 @@ def test_verify_convex_fails_where_the_wall_exceeds_the_bulk(capsys, monkeypatch
     assert code == EXIT_CHECK_FAILED and err == ""
     lines = out.splitlines()
     assert [line.split(" (")[0] for line in lines] == [f"FAIL convex n={n}" for n in (1, 2, 3, 4)]
-    assert all(re.search(r"bulk - wall >= -\S+ at \d+ certified points\)$", line) for line in lines)
+    assert all(re.search(r"bulk - wall >= -\S+ at \d+ certified points, N = \d+,\d+\)$", line)
+               for line in lines)
 
 
 def test_compare_all_converged_below_radius(tmp_path, capsys):
