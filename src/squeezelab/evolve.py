@@ -7,13 +7,12 @@ eigenpairs come in pairs (lambda, v), (-lambda, S v) with S = diag((-1)^j),
 so only the lambda >= 0 eigenpairs that overlap |0> are computed, once per
 (n, N), by a numpy-only shift-invert Lanczos iteration on the even-site block
 of the squared chain, grown until its eigenpairs hold |0> to WINDOW_TOL.  Their
-vectors are kept on the even sites only, as an odd site is one bidiagonal solve
-of the even ones.  A grid of r is then two real matrix products, cosines for the
-even sites and sines for the odd ones, whose odd-site factor is that solve, a
-running sum down the chain formed chunk by chunk; the diagnostics square and sum
-the products in place, one 256 KB tile of sites x r at a time, without forming
-complex amplitudes.  This makes sweeps over hundreds of r values at N ~ 10^4
-cheap.  The reduction gives five named columns per r (:class:`Diagnostics`):
+vectors' odd sites, one bidiagonal solve of the even ones, are formed once the
+Krylov basis is freed.  A grid of r is then two real matrix products, even sites
+by cosines and odd ones by sines, which the diagnostics square and sum in place,
+one 256 KB tile of sites x r at a time, without forming complex amplitudes, so
+sweeps over hundreds of r values at N ~ 10^4 are cheap.  The reduction gives five
+named columns per r (:class:`Diagnostics`):
 mean_photon, leakage, norm_error, and the two exact terms of the curvature,
 d^2 mean_photon / dr^2 = bulk - wall on the cut chain.  The module returns
 arrays; `squeezelab.cli` tabulates them as the sweep and compare tables.
@@ -56,12 +55,12 @@ WINDOW_TOL = 1e-15
 # Largest chain amplitude error: of the |0> its eigenpairs rebuild, and to verify's oracle.
 AMPLITUDE_TOL = 1e-10
 # Bytes a chain build may hold in Krylov basis, ceil(L/2) x (m + 1) even-site eigenvectors
-# and Ritz temporaries: n = 1 is refused from about N = 30500 (odd N from 30509, even N
-# from 30560 or less), and N = 30508 peaks at 349 MB RSS (10.5 s, os.wait4).
+# and Ritz temporaries; the odd sites it keeps take the freed basis's place.  n = 1 is
+# refused from about N = 30500, and N = 30508 peaks at 348 MB RSS (11-16 s, os.wait4).
 MAX_CHAIN_BYTES = 1 << 28
-# Entries of the one tile of sites x values of r that grid_diagnostics reduces
-# at a time (256 KB of real |psi|^2, so it stays in cache between its passes), and
-# of the odd-site solves of eigenvectors that the build and an evaluation hold at once.
+# Entries of the one tile of sites x values of r that grid_diagnostics reduces at a time
+# (256 KB of real |psi|^2, so it stays in cache between its passes), and of the build's
+# blocks of eigenvectors whose lambda it solves for at once.
 _TILE_ENTRIES = 1 << 15
 
 
@@ -184,15 +183,14 @@ def _chain_eigensystem(n: int, size: int):
     most WINDOW_TOL, a step ending 10% past where the secant of two etas below
     1e-3 crosses it in log eta.  Every Ritz vector y is kept, and its odd sites
     x = lambda B^+ y give lambda = 1 / |B^+ y| by one forward B solve, which
-    damps the rounding in y where B^T y / lambda would amplify it.  The solve
-    runs on a few columns at a time and only its norms are kept: an
-    evaluation forms the odd sites of its combination of eigenvectors instead.
+    damps the rounding in y where B^T y / lambda would amplify it.  It is solved a
+    few columns at a time for lambda, then for all at once after the basis is freed.
 
-    Returns (eigenvalues, the eigenvectors' even sites sqrt(1/2) y as C-ordered
-    columns, of ceil(L/2) rows, their weights w = 2 v_0, or z_0 for the zero
-    mode, discarded = eta, or 0 once the basis spans the space, the
-    (scale, inverse) factors of B^+ on the first floor(L/2) even sites, and the
-    curvature's weights: 2n (b_j^2 - b_{j-1}^2) per site and 2n b_{L-1}^2 of the cut).
+    Returns (eigenvalues, the eigenvectors' even sites E = sqrt(1/2) y as C-ordered
+    columns of ceil(L/2) rows, their odd sites over lambda, B^+ E, of floor(L/2) rows,
+    their weights w = 2 v_0, or z_0 for the zero mode, discarded = eta, or 0 once the
+    basis spans the space, and the curvature's weights: 2n (b_j^2 - b_{j-1}^2) per site
+    and 2n b_{L-1}^2 of the cut).
     """
     length = chain_length(n, size)
     b2 = chain_couplings(n, length)  # b_{L-1}^2, the last, is the coupling the cut removes
@@ -268,22 +266,23 @@ def _chain_eigensystem(n: int, size: int):
         E[:, m] = zero_mode
         lam = np.append(lam, 0.0)
         weights = np.append(weights, zero_mode[0])
-    return lam, E, weights, 0.0 if m == dim else eta, odd_sites, curvature
+    scale, inverse = odd_sites  # B^+ E, solved in place where the freed basis, no smaller, was
+    odd = E[:n_odd] * inverse[:, None]
+    np.multiply(np.cumsum(odd, axis=0, out=odd), scale[:, None], out=odd)
+    return lam, E, odd, weights, 0.0 if m == dim else eta, curvature
 
 
 class VacuumSectorPropagator:
     """Exact evolution of exp(r a†^n - r* a^n)|0> on a truncated basis.
 
-    Solves the vacuum-sector chain once for the eigenpairs that carry |0> and
-    keeps their vectors on the even sites only: `eigvecs` is ceil(L/2) x k, with
-    L ~ N/n the chain length.  A whole grid of r then costs two real matrix
-    products of size L/2 x k by k x len(grid): the even sites by cosines, and the
-    odd sites, B^+ of the even ones (see :func:`_chain_eigensystem`) formed on the
-    way as a running sum down the chain, by lambda-weighted sines.  Their squares
-    are |amplitude|^2.  `discarded` is eta of the last eigensolve of
-    :func:`_chain_eigensystem`, 0 when the basis spans the chain.  A chain whose
-    eigenpairs rebuild |0> no closer than AMPLITUDE_TOL is refused, as is one out
-    of floating-point range.
+    Solves the vacuum-sector chain once for the eigenpairs that carry |0> and keeps
+    their vectors' even sites, `eigvecs` of ceil(L/2) x k with L ~ N/n the chain length,
+    and odd sites over lambda, B^+ of the even ones (see :func:`_chain_eigensystem`).  A
+    whole grid of r then costs two real matrix products of size L/2 x k by k x len(grid):
+    even sites by cosines, odd ones by lambda-weighted sines, whose squares are
+    |amplitude|^2.  `discarded` is eta of the last eigensolve, 0 when the basis spans the
+    chain.  A chain whose eigenpairs rebuild |0> no closer than AMPLITUDE_TOL is refused,
+    as is one out of floating-point range.
     """
 
     def __init__(self, n: int, size: int):
@@ -297,7 +296,7 @@ class VacuumSectorPropagator:
                 chain = _chain_eigensystem(n, size)
         except (FloatingPointError, OverflowError) as exc:
             raise BudgetExceededError(f"{sites}-site chain", "floating-point range") from exc
-        (self.eigvals, self.eigvecs, self._weights, self.discarded, self._odd_sites,
+        (self.eigvals, self.eigvecs, self._odd_eigvecs, self._weights, self.discarded,
          (self._bulk_weights, self._wall_weight)) = chain
         self.levels = n * np.arange(sites)
         # every Ritz pair is kept, so only rounding parts what they rebuild at r = 0 from |0>
@@ -310,9 +309,7 @@ class VacuumSectorPropagator:
 
         They hold up to a phase of modulus 1 per site: E (w cos(lambda |r|)) on even sites
         and (B^+ E) (lambda w sin(lambda |r|)) on odd ones, and the exact vacuum where |r| = 0.
-        B^+ E is a running sum down the chain, formed a chunk of odd sites at a time, so fill
-        must be called on consecutive tiles from start = 0: it carries the partial sums, one
-        per eigenvector, from each chunk to the next, and a tile gets the bits of one tile.
+        Tiles may be filled in any order: each gets the bits of one tile over the chain.
         A non-finite |r| is a ValueError; one at which lambda |r| overflows is refused, not nan.
         """
         largest = float(mag.max(initial=0.0))  # nan if any value is
@@ -323,21 +320,11 @@ class VacuumSectorPropagator:
         angles = np.outer(self.eigvals, mag)
         even = np.cos(angles) * self._weights[:, None]
         odd = np.sin(angles) * (self.eigvals * self._weights)[:, None]
-        scale, inverse = self._odd_sites
-        carry = np.zeros(len(self.eigvals))  # the running sums of inverse * E, one per eigenvector
-        chunk = max(1, _TILE_ENTRIES // len(self.eigvals))  # odd sites whose solves are held at once
 
         def fill(start: int, out: np.ndarray) -> np.ndarray:
-            sites = self.eigvecs[start // 2:(start + len(out) + 1) // 2]
-            np.matmul(sites, even, out=out[0::2])
-            for first in range(0, len(out) // 2, chunk):
-                k = slice(start // 2 + first, start // 2 + min(first + chunk, len(out) // 2))
-                solves = self.eigvecs[k] * inverse[k, None]
-                solves[0] += carry
-                np.cumsum(solves, axis=0, out=solves)
-                carry[:] = solves[-1]
-                solves *= scale[k, None]
-                np.matmul(solves, odd, out=out[1::2][first:first + chunk])
+            rows = slice(start // 2, (start + len(out) + 1) // 2)
+            np.matmul(self.eigvecs[rows], even, out=out[0::2])
+            np.matmul(self._odd_eigvecs[rows], odd, out=out[1::2])
             out[:, mag == 0] = np.eye(len(out), 1, start)  # 1 on site 0, which is row -start
             return out
         return fill

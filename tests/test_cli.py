@@ -275,10 +275,11 @@ def test_library_surface():
 
 def test_test_modules_mirror_the_source_modules():
     # one test module per source module, plus the two suites that cut across them; a test
-    # module named after a source file that went fails here
+    # module named after a source file that went fails here.  __main__ runs the cli, and
+    # test_cli runs it
     sources = {path.stem for path in Path(squeezelab.__file__).parent.glob("*.py")}
     tests = {path.stem for path in Path(__file__).parent.glob("test_*.py")}
-    assert tests == ({f"test_{name}" for name in sources - {"__init__"}}
+    assert tests == ({f"test_{name}" for name in sources - {"__init__", "__main__"}}
                      | {"test_acceptance", "test_demos"})
 
 
@@ -813,6 +814,18 @@ def test_cli_sets_the_blas_thread_timeout_only_as_a_default(
         timeout=120,
     )
     assert ast.literal_eval(done.stdout.strip().splitlines()[-1]) == (at_numpy_import, changed)
+
+
+def test_package_runs_as_the_cli_module(tmp_path):
+    # a source tree on PYTHONPATH, without the installed script, runs as python -m squeezelab
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "coeffs", "--n", "2", "--M", "3"], cwd=tmp_path,
+            env=probe_env(), capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for module in ("squeezelab", "squeezelab.cli")
+    ]
+    assert outputs[0] == outputs[1] and outputs[0].startswith("n,m,numerator,denominator")
 
 
 @pytest.mark.parametrize("argv", [

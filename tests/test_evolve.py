@@ -323,10 +323,10 @@ def test_window_starts_at_eight_aims_at_the_tolerance_and_falls_back_to_full_cha
     assert full.discarded == 0.0
 
 
-def test_chain_build_holds_its_basis_and_even_site_eigenvectors_only():
+def test_chain_build_holds_its_basis_and_eigenvectors_only():
     # (1, 6000) keeps hundreds of Ritz pairs: at its peak the build holds the Krylov basis,
     # the ceil(L/2) x (m + 1) even-site eigenvectors and a few m x m Lanczos arrays, with no
-    # full-size temporary beside them and no odd-site block
+    # full-size temporary beside them; the odd-site block is formed once the basis is freed
     tracemalloc.start()
     try:
         prop = VacuumSectorPropagator(1, 6000)
@@ -335,13 +335,16 @@ def test_chain_build_holds_its_basis_and_even_site_eigenvectors_only():
         tracemalloc.stop()
     n_even, m = prop.eigvecs.shape
     assert n_even == 3000 and m > 400
-    assert peak <= 8 * ((m + 2) * n_even + n_even * (m + 1) + 3 * m * m)
+    basis_and_even_sites = 8 * ((m + 2) * n_even + n_even * (m + 1))
+    assert peak <= basis_and_even_sites + 8 * 3 * m * m
+    # what the propagator keeps, both halves of the eigenvectors, fits in what the build held
+    assert prop._odd_eigvecs.shape == (3000, m)
+    assert prop.eigvecs.nbytes + prop._odd_eigvecs.nbytes <= basis_and_even_sites
 
 
-def test_odd_sites_carry_their_sum_across_row_tiles(monkeypatch):
-    # the eigenvectors' odd sites are one bidiagonal solve, a running sum down the chain;
-    # split into row tiles it carries each tile's last partial sums, so the amplitudes
-    # keep their bits
+def test_row_tiles_give_the_bits_of_one_tile(monkeypatch):
+    # the eigenvectors' odd sites are one bidiagonal solve, a running sum down the chain
+    # formed once in the build, so the amplitudes keep their bits when split into row tiles
     prop = VacuumSectorPropagator(1, 2000)
     r_grid = np.linspace(0.0, 16.0, 16)  # a displacement: <N> = r^2 reaches site 256 and past
     evaluate, tiles = VacuumSectorPropagator._real_amplitudes, []
@@ -359,6 +362,10 @@ def test_odd_sites_carry_their_sum_across_row_tiles(monkeypatch):
     tiled = prop.grid_diagnostics(r_grid)
     assert [start for start, _ in tiles] == list(range(0, 2000, 128))
     assert np.array_equal(np.concatenate([tile for _, tile in tiles]), one_tile)
+    # and whatever the order the tiles are filled in
+    fill = evaluate(prop, r_grid)
+    reverse = {start: fill(start, tile.copy()) for start, tile in reversed(tiles)}
+    assert np.array_equal(np.concatenate([reverse[start] for start, _ in tiles]), one_tile)
     # only the order of the diagnostics' own sums changes
     np.testing.assert_allclose(tiled[0], whole[0], rtol=1e-14)
     assert np.abs(tiled[2] - whole[2]).max() <= 1e-15
