@@ -3,11 +3,14 @@
 Computes the exact Taylor coefficients of <a†a>_n for n = 3 and n = 4,
 fits their exponential growth over the last five points, and compares the
 resulting radius against the r at which truncated numerics start to
-disagree with the partial sum. Writes coeffs_n3.csv, compare_n3.csv and
-compare_n3.json through the `squeezelab coeffs` and `compare` commands.
+disagree with the partial sum. Writes coeffs_n3.csv and compare_n3.csv
+through the `squeezelab coeffs` and `compare` commands, and reads the summary
+JSON that `compare` prints.
 """
 
+import io
 import json
+from contextlib import redirect_stdout
 
 import numpy as np
 
@@ -25,9 +28,9 @@ for n, M in ((3, 20), (4, 10)):
           f"(fit predicts {np.exp(alpha):.4f})")
 
 main(["coeffs", "--n", "3", "--M", "20", "--out", "coeffs_n3.csv"])
-main(["compare", "--n", "3", "--N", "6000,6001", "--M", "20", "--r", "0:0.3:0.005",
-      "--out", "compare_n3.csv", "--summary-out", "compare_n3.json"])
-with open("compare_n3.json") as fh:
-    summary = json.load(fh)
+with redirect_stdout(io.StringIO()) as printed:
+    main(["compare", "--n", "3", "--N", "6000,6001", "--M", "20", "--r", "0:0.3:0.005",
+          "--out", "compare_n3.csv"])
+summary = json.loads(printed.getvalue())
 print(f"Taylor vs numerics first disagree at r = {summary['first_disagreement_r']} "
       f"(estimated radius {summary['estimated_radius']:.3f})")

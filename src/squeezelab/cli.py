@@ -3,11 +3,13 @@
 Subcommands: sweep, coeffs, fit, verify, compare.  This is the one module
 that knows an output format: the library returns numbers, and the three CSV
 tables, the fit and compare JSON and verify's PASS/FAIL lines are all written
-here.  Exit codes: 0 success, 1 usage error, 2 failed verify check, 3 resource
-budget exceeded (--M above algebra.MAX_M, 2 n M above algebra.MAX_LEVEL, over
-MAX_ROWS grid rows, a chain build over evolve.MAX_CHAIN_BYTES, or a chain out of
-floating-point range or precision).  verify runs one fixed suite, set by the
-VERIFY_* constants, on --n or VERIFY_ORDERS; it checks the chain against
+here.  sweep, coeffs and fit write to --out, or else stdout; compare writes its
+table there and then its summary JSON to stdout.  Exit codes: 0 success, 1
+usage error, 2 failed verify check, 3 resource budget exceeded (--M above
+algebra.MAX_M, 2 n M above algebra.MAX_LEVEL, over MAX_ROWS grid rows, a chain
+build over evolve.MAX_CHAIN_BYTES, or a chain out of floating-point range or
+precision), 141 stdout closed by its reader.  verify runs one fixed suite, set
+by the VERIFY_* constants, on --n or VERIFY_ORDERS; it checks the chain against
 evolve.expm_state at ORACLE_SIZE levels, so its --n stays below ORACLE_SIZE.
 
 numpy and squeezelab.evolve are imported only inside the code that computes
@@ -24,12 +26,10 @@ OPENBLAS_THREAD_TIMEOUT keeps that choice.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
 import os
-import stat
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: stdout's reader closed it
 
 VERIFY_ORDERS = (1, 2, 3, 4)  # the orders verify checks without --n
 VERIFY_LEVELS = 20  # the closed-form and positivity checks cover levels 0..VERIFY_LEVELS
@@ -101,7 +102,7 @@ def parse_r_grid(spec: str) -> np.ndarray:
 
 def parse_n_list(spec: str) -> list[int]:
     try:
-        values = [int(tok) for tok in spec.split(",") if tok]
+        values = [int(tok) for tok in spec.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad truncation list {spec!r}") from exc
     if not values or values[0] < 2 or sorted(set(values)) != values:
@@ -152,42 +153,17 @@ def _csv(header: str, blocks):
         yield "".join(",".join(row) + "\n" for row in zip(*columns))
 
 
-def _write(*outputs) -> None:
-    """Write each (path, lines) in turn, to stdout where the path is None or "-".
-
-    Every file is opened before any line is drawn, so when one path cannot be
-    written, or two paths name one regular file, nothing is: files this call
-    created are removed again, and existing files keep their contents.  The
-    lines stream to their handle.
-    """
-    created = []  # real paths of the files this call made: a symlink's target, not the link
-    with contextlib.ExitStack() as stack:
-        try:
-            handles = []
-            for path, _ in outputs:
-                if path in (None, "-"):
-                    handles.append(sys.stdout)
-                    continue
-                # decided at this open, so a file an earlier output made is not new
-                new = not os.path.exists(path)
-                handles.append(stack.enter_context(open(path, "a")))  # "a" does not truncate
-                if new:  # only now does the path resolve: "missing/../f" never named ./f
-                    created.append(os.path.realpath(path))
-            # one file behind two handles would lose the first one's lines to the second's truncate
-            files = [os.fstat(handle.fileno()) for handle in handles if handle is not sys.stdout]
-            files = [(f.st_dev, f.st_ino) for f in files if stat.S_ISREG(f.st_mode)]
-            if len(set(files)) < len(files):
-                raise UsageError(f"{' and '.join(p for p, _ in outputs if p)} name the same file")
-        except (OSError, UsageError) as exc:
-            for path in created:
-                os.remove(path)
-            if isinstance(exc, UsageError):
-                raise
-            raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
-        for handle, (path, lines) in zip(handles, outputs):
-            if handle is not sys.stdout and os.path.isfile(path):  # a device or pipe has no length
-                handle.truncate(0)
-            handle.writelines(lines)
+def _write(path, lines) -> None:
+    """Write the lines to `path`, or to stdout where it is None or "-"."""
+    if path in (None, "-"):
+        sys.stdout.writelines(lines)
+        return
+    try:
+        handle = open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+    with handle:
+        handle.writelines(lines)
 
 
 def cmd_sweep(args) -> int:
@@ -200,7 +176,7 @@ def cmd_sweep(args) -> int:
                *(_floats(a[first:first + _CSV_BLOCK])
                  for a in (r_grid, s.mean_photon, s.leakage, s.norm_error)), repeat("ok"))
               for N, s in stats.items() for first in range(0, len(r_grid), _CSV_BLOCK))
-    _write((args.out, _csv(SWEEP_HEADER, blocks)))
+    _write(args.out, _csv(SWEEP_HEADER, blocks))
     return EXIT_OK
 
 
@@ -220,7 +196,7 @@ def _decimal(c: Fraction) -> str:
 def cmd_coeffs(args) -> int:
     rows = [(str(args.n), str(m), str(c.numerator), str(c.denominator), _decimal(c))
             for m, c in algebra.coefficients(args.n, args.M)]
-    _write((args.out, _csv(COEFFS_HEADER, [zip(*rows)])))
+    _write(args.out, _csv(COEFFS_HEADER, [zip(*rows)]))
     return EXIT_OK
 
 
@@ -232,7 +208,7 @@ def cmd_fit(args) -> int:
         raise UsageError(str(exc)) from exc
     record = {"n": args.n, "M": len(entries), "points_used": used,
               "alpha": alpha, "alpha_stderr": stderr, "radius": math.exp(-alpha)}
-    _write((args.out, [json.dumps(record, indent=2) + "\n"]))
+    _write(args.out, [json.dumps(record, indent=2) + "\n"])
     return EXIT_OK
 
 
@@ -275,8 +251,8 @@ def cmd_compare(args) -> int:
                  for a in (r_grid, photons_a, photons_b, taylor, *diffs)),
                ["true" if c else "false" for c in converged[first:first + _CSV_BLOCK].tolist()])
               for first in range(0, len(r_grid), _CSV_BLOCK))
-    _write((args.out, _csv(COMPARE_HEADER, blocks)),
-           (args.summary_out, [json.dumps(summary, indent=2) + "\n"]))
+    _write(args.out, _csv(COMPARE_HEADER, blocks))
+    print(json.dumps(summary, indent=2))  # after the table, so an unwritable --out prints none
     return EXIT_OK
 
 
@@ -438,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--N", default="6000,6001", help="pair of truncations")
     p.add_argument("--M", type=int, default=20)
-    p.add_argument("--summary-out", default=None, help="summary JSON path (default stdout)")
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -463,6 +438,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:  # stdout goes to devnull, so the flush at exit is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

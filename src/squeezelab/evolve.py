@@ -126,10 +126,12 @@ def _forward_factors(diag: np.ndarray, sub: np.ndarray) -> tuple[np.ndarray, np.
     return scale, 1.0 / (diag * scale)
 
 
-def _forward_solve(factors: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """u = scale * cumsum(inverse * x) down the first axis of x, for (scale, inverse) = factors."""
+def _forward_solve(factors: tuple[np.ndarray, np.ndarray], x: np.ndarray, out=None) -> np.ndarray:
+    """u = scale * cumsum(inverse * x) down x's first axis, into `out` if given."""
     scale, inverse = (f.reshape((-1,) + (1,) * (x.ndim - 1)) for f in factors)
-    return scale * np.cumsum(x * inverse, axis=0)
+    out = np.multiply(x, inverse, out=out)
+    np.cumsum(out, axis=0, out=out)
+    return np.multiply(out, scale, out=out)
 
 
 def _shifted_inverse(d: np.ndarray, s: np.ndarray, size: int, shift: float):
@@ -254,21 +256,17 @@ def _chain_eigensystem(n: int, size: int):
     # Ritz vectors y on the even sites, largest Ritz value (smallest lambda) first
     np.matmul(basis[locked:locked + m].T, S[:, ::-1], out=E[:, :m])
     del basis
-    inv_lam = np.empty(m)
     block = max(1, _TILE_ENTRIES // n_odd)  # columns of y whose odd sites are solved at once
-    for first in range(0, m, block):
-        cols = slice(first, min(first + block, m))
-        inv_lam[cols] = np.linalg.norm(_forward_solve(odd_sites, E[:n_odd, cols]), axis=0)
+    lam = 1.0 / np.concatenate([
+        np.linalg.norm(_forward_solve(odd_sites, E[:n_odd, first:min(first + block, m)]), axis=0)
+        for first in range(0, m, block)])
     E[:, :m] *= np.sqrt(0.5)
-    lam = 1.0 / inv_lam
     weights = 2 * E[0, :m]
     if locked:
         E[:, m] = zero_mode
         lam = np.append(lam, 0.0)
         weights = np.append(weights, zero_mode[0])
-    scale, inverse = odd_sites  # B^+ E, solved in place where the freed basis, no smaller, was
-    odd = E[:n_odd] * inverse[:, None]
-    np.multiply(np.cumsum(odd, axis=0, out=odd), scale[:, None], out=odd)
+    odd = _forward_solve(odd_sites, E[:n_odd], out=np.empty((n_odd, m + locked)))  # B^+ E
     return lam, E, odd, weights, 0.0 if m == dim else eta, curvature
 
 

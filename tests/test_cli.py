@@ -18,11 +18,13 @@ import pytest
 import squeezelab
 from squeezelab.algebra import MAX_LEVEL, MAX_M, chain_length, coefficients, fit_exponential
 from squeezelab.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
     MAX_ROWS,
+    SWEEP_HEADER,
     VERIFY_GRID,
     VERIFY_LEVELS,
     VERIFY_ORDERS,
@@ -67,6 +69,9 @@ def test_parse_n_list():
         parse_n_list("100,100")  # a repeated truncation compares a state with itself
     with pytest.raises(UsageError):
         parse_n_list("")
+    for spec in ("100,,101", "100,101,", ",100"):  # an empty entry is not an integer
+        with pytest.raises(UsageError):
+            parse_n_list(spec)
 
 
 @pytest.mark.parametrize("command", ["sweep", "compare"])
@@ -124,34 +129,13 @@ def test_sweep_usage_error_writes_no_file(tmp_path, capsys):
 
 
 def test_compare_usage_error_writes_no_file(tmp_path, capsys):
-    # the summary path is unwritable: the CSV must not be left behind, nor an old one truncated
-    args = ["compare", "--n", "3", "--N", "102,103", "--M", "3", "--r", "0:0.01:0.01",
-            "--summary-out", str(tmp_path / "missing" / "summary.json")]
-    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    old.write_text("kept\n")
-    for out in (new, old):
-        code, stdout, err = run(capsys, *args, "--out", str(out))
-        assert code == EXIT_USAGE and stdout == ""
-        assert err.startswith("usage error: cannot write ") and err.count("\n") == 1
-    assert not new.exists()
-    assert old.read_text() == "kept\n"
-
-
-@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_compare_refuses_one_regular_file_for_both_outputs(tmp_path, capsys, monkeypatch, existing):
-    # the summary's truncate would wipe the rows just written through the other handle
-    monkeypatch.chdir(tmp_path)
-    both = tmp_path / "both.csv"
-    if existing:
-        both.write_text("kept\n")
-    (tmp_path / "link.csv").symlink_to(both)
-    for out, summary in (("both.csv", "./both.csv"), ("link.csv", str(both))):
-        code, stdout, err = run(capsys, "compare", "--n", "3", "--N", "102,103", "--M", "3",
-                                "--r", "0:0.01:0.01", "--out", out, "--summary-out", summary)
-        assert code == EXIT_USAGE and stdout == ""
-        assert err == f"usage error: {out} and {summary} name the same file\n"
-    assert both.read_text() == "kept\n" if existing else not both.exists()
-    assert (tmp_path / "link.csv").is_symlink()  # the caller's link stays, dangling or not
+    # the table's path is unwritable: no file is made, and the summary is not printed
+    out = tmp_path / "missing" / "compare.csv"
+    code, stdout, err = run(capsys, "compare", "--n", "3", "--N", "102,103", "--M", "3",
+                            "--r", "0:0.01:0.01", "--out", str(out))
+    assert code == EXIT_USAGE and stdout == ""
+    assert err.startswith(f"usage error: cannot write {out}: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
 
 
 def test_unwritable_path_never_removes_what_it_does_not_name(tmp_path, capsys, monkeypatch):
@@ -173,9 +157,9 @@ def test_output_to_a_device_is_written_without_truncating_it(capsys):
     sweep = ("sweep", "--n", "3", "--N", "100", "--r", "0:0.01:0.01", "--out", os.devnull)
     assert run(capsys, *sweep)[:2] == (EXIT_OK, "")
     compare = ("compare", "--n", "3", "--N", "102,103", "--M", "3", "--r", "0:0.01:0.01",
-               "--summary-out", os.devnull)
+               "--out", os.devnull)
     code, out, _ = run(capsys, *compare)
-    assert code == EXIT_OK and out.startswith("r,numeric_N")
+    assert code == EXIT_OK and json.loads(out)["N_pair"] == [102, 103]
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,9 +241,9 @@ def test_cli_option_surface():
         "coeffs": {"--n", "--out", "--M"},
         "fit": {"--n", "--out", "--M"},
         "verify": {"--check", "--n"},
-        "compare": {"--n", "--out", "--r", "--N", "--M", "--summary-out"},
+        "compare": {"--n", "--out", "--r", "--N", "--M"},
     }
-    assert sum(map(len, options.values())) == 18
+    assert sum(map(len, options.values())) == 17
 
 
 def test_library_surface():
@@ -464,10 +448,10 @@ def test_fit_quadri_squeezed(capsys):
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--n", "3", "--M", "2", "--out", "{missing}/coeffs.csv"],
     ["compare", "--n", "3", "--N", "102,103", "--M", "3", "--r", "0:0.01:0.01",
-     "--out", "{tmp}/compare.csv", "--summary-out", "{missing}/summary.json"],
+     "--out", "{missing}/compare.csv"],
 ])
 def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, argv):
-    argv = [arg.format(tmp=tmp_path, missing=tmp_path / "missing") for arg in argv]
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("usage error: cannot write ") and err.count("\n") == 1
@@ -616,15 +600,13 @@ def test_verify_convex_fails_where_the_wall_exceeds_the_bulk(capsys, monkeypatch
 
 def test_compare_all_converged_below_radius(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
-    summary_path = tmp_path / "cmp.json"
-    code, _, _ = run(capsys, "compare", "--n", "3", "--N", "1002,1003",
-                     "--M", "20", "--r", "0:0.04:0.01", "--out", str(out),
-                     "--summary-out", str(summary_path))
+    code, stdout, _ = run(capsys, "compare", "--n", "3", "--N", "1002,1003",
+                          "--M", "20", "--r", "0:0.04:0.01", "--out", str(out))
     assert code == EXIT_OK
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "r,numeric_N,numeric_Nprime,taylor,diff_num,diff_taylor,converged"
     assert all(line.endswith("true") for line in lines[1:])
-    summary = json.loads(summary_path.read_text())
+    summary = json.loads(stdout)
     assert 0.07 <= summary["estimated_radius"] <= 0.28  # within a factor 2 of 0.14
 
 
@@ -636,9 +618,9 @@ def test_compare_requires_truncation_pair(capsys):
 
 def run_compare(tmp_path, capsys, n, N_pair, M, r_spec):
     """Rows of `squeezelab compare` (floats, and converged as a bool) and its summary."""
-    out, summary = tmp_path / "compare.csv", tmp_path / "summary.json"
-    code, _, err = run(capsys, "compare", "--n", str(n), "--N", N_pair, "--M", str(M),
-                       "--r", r_spec, "--out", str(out), "--summary-out", str(summary))
+    out = tmp_path / "compare.csv"
+    code, summary, err = run(capsys, "compare", "--n", str(n), "--N", N_pair, "--M", str(M),
+                             "--r", r_spec, "--out", str(out))
     assert code == EXIT_OK, err
     with open(out) as handle:
         rows = [
@@ -646,7 +628,7 @@ def run_compare(tmp_path, capsys, n, N_pair, M, r_spec):
              for key, value in row.items()}
             for row in csv.DictReader(handle)
         ]
-    return rows, json.loads(summary.read_text())
+    return rows, json.loads(summary)
 
 
 def test_compare_table_zero_row(tmp_path, capsys):
@@ -738,7 +720,7 @@ def test_sweep_and_compare_never_import_scipy(tmp_path):
         tmp_path,
         ["sweep", "--n", "3", "--r", "0:0.1:0.05", "--N", "201,202", "--out", "sweep.csv"],
         ["compare", "--n", "3", "--r", "0:0.1:0.05", "--N", "201,202", "--M", "4",
-         "--out", "compare.csv", "--summary-out", "summary.json"],
+         "--out", "compare.csv"],
     )
 
 
@@ -826,6 +808,19 @@ def test_package_runs_as_the_cli_module(tmp_path):
         for module in ("squeezelab", "squeezelab.cli")
     ]
     assert outputs[0] == outputs[1] and outputs[0].startswith("n,m,numerator,denominator")
+
+
+def test_closed_stdout_exits_with_the_sigpipe_code_and_no_traceback(tmp_path):
+    # as `| head -1` does: the reader takes one line and closes the pipe while rows remain
+    with subprocess.Popen(
+        [sys.executable, "-m", "squeezelab", "sweep", "--n", "3", "--r", "0:1:0.0005",
+         "--N", "100,101"], cwd=tmp_path, env=probe_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (EXIT_BROKEN_PIPE, b"")
 
 
 @pytest.mark.parametrize("argv", [
