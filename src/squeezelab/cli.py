@@ -5,10 +5,10 @@ that knows an output format: the library returns numbers, and the three CSV
 tables, the fit and compare JSON and verify's PASS/FAIL lines are all written
 here.  sweep, coeffs and fit write to --out, or else stdout; compare writes its
 table there and then its summary JSON to stdout.  Exit codes: 0 success, 1
-usage error, 2 failed verify check, 3 resource budget exceeded (--M above
-algebra.MAX_M, 2 n M above algebra.MAX_LEVEL, over MAX_ROWS grid rows, a chain
-build over evolve.MAX_CHAIN_BYTES, or a chain out of floating-point range or
-precision), 141 stdout closed by its reader.  verify runs one fixed suite, set
+usage error or failed write, 2 failed verify check, 3 resource budget exceeded
+(--M above algebra.MAX_M, 2 n M above algebra.MAX_LEVEL, over MAX_ROWS grid rows,
+a chain build over evolve.MAX_CHAIN_BYTES, or a chain out of floating-point range
+or precision), 141 stdout closed by its reader.  verify runs one fixed suite, set
 by the VERIFY_* constants, on --n or VERIFY_ORDERS; it checks the chain against
 evolve.expm_state at ORACLE_SIZE levels, so its --n stays below ORACLE_SIZE.
 
@@ -57,11 +57,11 @@ VERIFY_PAIR_FROM = 1000  # monotonic and convex certify N = n ceil(1000 / n) and
 # 66 MB (9 s) and compare at 152 MB (22-26 s): under 1 GB.
 MAX_ROWS = 10**6
 ORACLE_SIZE = 64  # levels of the dense oracle that verify checks the chain against
-# verify's phase check compares the chain with the oracle at |r| = 0.08 e^(i theta).  Above
-# this order it resolves nothing: at n = 22..27 the state there is the vacuum but for
-# amplitudes of at most 7e-7, under its rounding tolerance of 1.5e-4 or more, from n = 28
-# that tolerance passes 1, and from n = 22 the oracle's rounding at other angles passes it.
-PHASE_MAX_ORDER = 21
+# Highest --n at which each of these verify checks resolves anything.  phase, at |r| = 0.08 e^(i
+# theta): to n = 27 the state is the vacuum but for amplitudes of at most 7e-7, under its tolerance
+# of 1.5e-4 or more, from 28 that passes 1, and from 22 so does the oracle's rounding at other
+# angles.  From 17 the monotonic/convex pair is refused (exit 3) or certifies only r = 0.
+VERIFY_MAX_ORDER = {"phase": 21, "monotonic": 16, "convex": 16}
 _CSV_BLOCK = 1 << 12  # rows that _csv formats at once, column by column
 # After start-up and after each threaded call, OpenBLAS's idle worker spins for
 # 2**OPENBLAS_THREAD_TIMEOUT cycles (2**28 by default) before it sleeps.  The minimum, 4,
@@ -118,10 +118,10 @@ def check_args(args) -> None:
             raise UsageError(f"--{flag} must be >= {low}, got {value}")
     if args.command == "verify" and args.n is not None and args.n >= ORACLE_SIZE:
         raise UsageError(f"verify --n must be below its oracle's {ORACLE_SIZE} levels: {args.n}")
-    if (args.command == "verify" and args.check in (None, "phase")
-            and args.n is not None and args.n > PHASE_MAX_ORDER):
-        raise UsageError(f"verify's phase check resolves nothing above n = {PHASE_MAX_ORDER}: "
-                         f"{args.n}; choose another --check")
+    for check, top in VERIFY_MAX_ORDER.items():  # phase first, as the whole suite runs it first
+        if args.command == "verify" and args.check in (None, check) and (args.n or 0) > top:
+            raise UsageError(f"verify's {check} check resolves nothing above n = {top}: "
+                             f"{args.n}; choose another --check")
     if args.command not in ("sweep", "compare"):
         return  # only these two take --N and --r; verify's are the VERIFY_* constants
     truncations = parse_n_list(args.N)
@@ -158,12 +158,11 @@ def _write(path, lines) -> None:
     if path in (None, "-"):
         sys.stdout.writelines(lines)
         return
-    try:
-        handle = open(path, "w")
+    try:  # the open, the writes and the close
+        with open(path, "w") as handle:
+            handle.writelines(lines)
     except OSError as exc:
-        raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
-    with handle:
-        handle.writelines(lines)
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_sweep(args) -> int:
@@ -431,16 +430,21 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         check_args(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a failed write to stdout is caught below
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except BrokenPipeError:  # stdout goes to devnull, so the flush at exit is silent too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+    except OSError as exc:  # only stdout is left to fail: its reader closed it, or its disk is full
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # a silent flush at exit
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"usage error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

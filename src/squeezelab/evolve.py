@@ -9,11 +9,11 @@ so only the lambda >= 0 eigenpairs that overlap |0> are computed, once per
 of the squared chain, grown until its eigenpairs hold |0> to WINDOW_TOL.  Their
 vectors' odd sites, one bidiagonal solve of the even ones, are formed once the
 Krylov basis is freed.  A grid of r is then two real matrix products, even sites
-by cosines and odd ones by sines, which the diagnostics square and sum in place,
-one 256 KB tile of sites x r at a time, without forming complex amplitudes, so
-sweeps over hundreds of r values at N ~ 10^4 are cheap.  The reduction gives five
-named columns per r (:class:`Diagnostics`):
-mean_photon, leakage, norm_error, and the two exact terms of the curvature,
+by cosines and odd ones by sines, squared in place one 256 KB tile of sites x r at
+a time, without forming complex amplitudes, so sweeps over hundreds of r values at
+N ~ 10^4 are cheap.  Each named column per r (:class:`Diagnostics`) sums |psi_j|^2
+over the sites with its own weights, so one product reduces a tile: mean_photon,
+leakage, norm_error, and the two exact terms of the curvature,
 d^2 mean_photon / dr^2 = bulk - wall on the cut chain.  The module returns
 arrays; `squeezelab.cli` tabulates them as the sweep and compare tables.
 
@@ -191,14 +191,10 @@ def _chain_eigensystem(n: int, size: int):
     Returns (eigenvalues, the eigenvectors' even sites E = sqrt(1/2) y as C-ordered
     columns of ceil(L/2) rows, their odd sites over lambda, B^+ E, of floor(L/2) rows,
     their weights w = 2 v_0, or z_0 for the zero mode, discarded = eta, or 0 once the
-    basis spans the space, and the curvature's weights: 2n (b_j^2 - b_{j-1}^2) per site
-    and 2n b_{L-1}^2 of the cut).
+    basis spans the space, and the exact squared couplings b_j^2, j < L, of chain_couplings).
     """
     length = chain_length(n, size)
     b2 = chain_couplings(n, length)  # b_{L-1}^2, the last, is the coupling the cut removes
-    # bulk's weights are exact integer differences, each rounded once, and wall's
-    curvature = (2 * n * np.diff(np.array(b2, dtype=object), prepend=0).astype(float),
-                 2 * n * float(b2[-1]))
     b = np.sqrt(np.array(b2[:-1], dtype=float))
     n_even, n_odd = length - length // 2, length // 2
     d, s = b[0::2], b[1::2]  # B[m, m] = d[m], B[m, m-1] = s[m-1]
@@ -267,7 +263,7 @@ def _chain_eigensystem(n: int, size: int):
         lam = np.append(lam, 0.0)
         weights = np.append(weights, zero_mode[0])
     odd = _forward_solve(odd_sites, E[:n_odd], out=np.empty((n_odd, m + locked)))  # B^+ E
-    return lam, E, odd, weights, 0.0 if m == dim else eta, curvature
+    return lam, E, odd, weights, 0.0 if m == dim else eta, b2
 
 
 class VacuumSectorPropagator:
@@ -286,17 +282,22 @@ class VacuumSectorPropagator:
     def __init__(self, n: int, size: int):
         if not 1 <= n < size:
             raise ValueError(f"need 1 <= n < size, got n={n}, size={size}")
-        self.n = n
-        self.size = size
         sites = chain_length(n, size)
         try:  # underflow stays quiet: the bidiagonal solves rely on it
             with np.errstate(divide="raise", over="raise", invalid="raise"), _one_blas_thread():
                 chain = _chain_eigensystem(n, size)
         except (FloatingPointError, OverflowError) as exc:
             raise BudgetExceededError(f"{sites}-site chain", "floating-point range") from exc
-        (self.eigvals, self.eigvecs, self._odd_eigvecs, self._weights, self.discarded,
-         (self._bulk_weights, self._wall_weight)) = chain
+        self.eigvals, self.eigvecs, self._odd_eigvecs, self._weights, self.discarded, b2 = chain
         self.levels = n * np.arange(sites)
+        # Diagnostics field k is sum_j rows[k, j] |psi_j|^2, rows filled in place (a casting ufunc's
+        # buffers cost 0.2 MB of peak RSS); bulk's are exact integer differences, each rounded once
+        rows = self._column_weights = np.zeros((len(Diagnostics._fields), sites))
+        rows[0] = self.levels
+        rows[1, -(-(size - min(max(10, 2 * n), size - 1)) // n):] = 1.0  # the top levels
+        rows[2] = 1.0
+        rows[3] = 2 * n * np.diff(np.array(b2, dtype=object), prepend=0).astype(float)
+        rows[4, -1] = 2 * n * float(b2[-1])  # b_{L-1}^2, the coupling the cut removed
         # every Ritz pair is kept, so only rounding parts what they rebuild at r = 0 from |0>
         error = np.linalg.norm(self.eigvecs @ self._weights - np.eye(1, len(self.eigvecs)))
         if not error <= AMPLITUDE_TOL:  # refuses nan too
@@ -350,32 +351,26 @@ class VacuumSectorPropagator:
         = bulk - wall exactly: bulk = 2n sum_j (b_j^2 - b_{j-1}^2) |psi_j|^2 = 2n <[a^n, a†^n]>
         > 0 is the paper's commutator term, and wall = 2n b_{L-1}^2 |psi_{L-1}|^2 >= 0 is left
         by the coupling b_{L-1} that the cut removed: a truncated curve bends down only through
-        its last site.  |psi|^2 is the square of the real amplitudes at |r|, formed in place,
-        tile by tile, in one buffer of _TILE_ENTRIES (up to _TILE_ENTRIES // 128 values of r by
-        as many sites as fit): memory grows with neither chain nor grid.  bulk is one more
-        product per tile, and wall the last row of the last row tile.
+        its last site.  Each column is sum_j w_j |psi_j|^2 with its own row w of _column_weights
+        (all ones for norm_error, rooted at the end), one product per tile of |psi|^2, the
+        square of the real amplitudes at |r| formed in place in one _TILE_ENTRIES buffer (up to
+        _TILE_ENTRIES // 128 r by as many sites as fit): memory grows with neither chain nor grid.
         """
         mag = np.abs(np.asarray(r_values).reshape(-1))
-        tail = min(max(10, 2 * self.n), self.size - 1)
-        first_edge = -(-(self.size - tail) // self.n)  # first site on the top `tail` levels
         width = max(1, min(len(mag), _TILE_ENTRIES // 128))
         height = _TILE_ENTRIES // width & -2  # even, so every tile starts on an even site
         buffer = np.empty(_TILE_ENTRIES)
-        photons, leakage, norm, bulk, wall = np.zeros((5, len(mag)))
+        sums = np.zeros((len(self._column_weights), len(mag)))
         for first in range(0, len(mag), width):
             cols = slice(first, first + width)
             fill = self._real_amplitudes(mag[cols])
             for start in range(0, len(self.levels), height):
-                levels = self.levels[start:start + height]
-                probs = buffer[:len(levels) * len(mag[cols])].reshape(len(levels), -1)
+                weights = self._column_weights[:, start:start + height]
+                probs = buffer[:weights.shape[1] * len(mag[cols])].reshape(weights.shape[1], -1)
                 np.square(fill(start, probs), out=probs)
-                photons[cols] += levels @ probs
-                bulk[cols] += self._bulk_weights[start:start + len(levels)] @ probs
-                leakage[cols] += probs[max(first_edge - start, 0):].sum(axis=0)
-                norm[cols] += probs.sum(axis=0)
-            wall[cols] = self._wall_weight * probs[-1]  # the last tile ends on site L - 1
-        np.abs(np.sqrt(norm, out=norm) - 1.0, out=norm)
-        return Diagnostics(photons, leakage, norm, bulk, wall)
+                sums[:, cols] += weights @ probs
+        np.abs(np.sqrt(sums[2], out=sums[2]) - 1.0, out=sums[2])
+        return Diagnostics(*sums)
 
 
 def generator(n: int, r: complex, size: int) -> np.ndarray:

@@ -194,6 +194,9 @@ def test_output_to_a_device_is_written_without_truncating_it(capsys):
     # a truncation that is not an integer
     ["sweep", "--N", "x"],
     ["sweep", "--N", "100,abc"],
+    # from n = 17 the monotonic/convex pair is refused for precision or range, or certifies r = 0
+    ["verify", "--n", "17"],
+    ["verify", "--n", "17", "--check", "convex"],
 ])
 def test_out_of_range_values_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -445,16 +448,28 @@ def test_fit_quadri_squeezed(capsys):
     assert 3.1 <= fit["alpha"] <= 3.7
 
 
+FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
 @pytest.mark.parametrize("argv", [
     ["coeffs", "--n", "3", "--M", "2", "--out", "{missing}/coeffs.csv"],
     ["compare", "--n", "3", "--N", "102,103", "--M", "3", "--r", "0:0.01:0.01",
      "--out", "{missing}/compare.csv"],
+    # /dev/full opens, but a write or the close fails: to --out, or to stdout, which it is here
+    pytest.param(["sweep", "--n", "3", "--N", "6000", "--r", "0:0:1", "--out", "/dev/full"],
+                 marks=FULL),
+    pytest.param(["fit", "--n", "3", "--out", "/dev/full"], marks=FULL),
+    pytest.param(["coeffs", "--n", "2", "--M", "3"], marks=FULL),
 ])
-def test_output_into_missing_directory_is_usage_error(tmp_path, capsys, argv):
+def test_output_into_missing_directory_is_usage_error(tmp_path, argv):
+    # a fresh process with buffered stdout, which is flushed at exit if the CLI does not
     argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
-    code, _, err = run(capsys, *argv)
-    assert code == EXIT_USAGE
-    assert err.startswith("usage error: cannot write ") and err.count("\n") == 1
+    with open("/dev/full" if os.path.exists("/dev/full") else os.devnull, "w") as stdout:
+        done = subprocess.run([sys.executable, "-m", "squeezelab", *argv], cwd=tmp_path,
+                              env=probe_env(PYTHONUNBUFFERED=""), stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("usage error: cannot write ") and done.stderr.count("\n") == 1
 
 
 def test_verify_closed_form_check(capsys):
@@ -564,16 +579,16 @@ def test_verify_monotonic(capsys):
 
 def test_verify_says_when_a_check_had_nothing_to_check(capsys):
     # a check is vacuous when no r > 0 is certified: the default n = 4 pair certifies
-    # r = 0.005 of the default grid, so no line is, and at n = 40 only r = 0 is certified
+    # r = 0.005 of the default grid, so no line is, and at n = 5 only r = 0 is certified
     code, out, _ = run(capsys, "verify")
     assert code == EXIT_OK and "vacuous" not in out
     assert "PASS convex n=4 (bulk - wall >= 192 at 2 certified points, N = 1000,1001)\n" in out
-    assert run(capsys, "verify", "--n", "40", "--check", "monotonic")[:2] == (
+    assert run(capsys, "verify", "--n", "5", "--check", "monotonic")[:2] == (
         EXIT_OK,
-        "PASS monotonic n=40 (certified region r <= 0 (1 points, vacuous), N = 1000,1001)\n")
+        "PASS monotonic n=5 (certified region r <= 0 (1 points, vacuous), N = 1000,1001)\n")
     # at r = 0 the curvature is bulk = 2n n!, and wall = 0
-    assert run(capsys, "verify", "--n", "40", "--check", "convex")[:2] == (
-        EXIT_OK, f"PASS convex n=40 (bulk - wall >= {80 * math.factorial(40):.3g} "
+    assert run(capsys, "verify", "--n", "5", "--check", "convex")[:2] == (
+        EXIT_OK, f"PASS convex n=5 (bulk - wall >= {10 * math.factorial(5):.3g} "
                  "at 1 certified points, vacuous, N = 1000,1001)\n")
     # the oracle tolerance 4 eps sqrt(n!) 0.1 is 0.26 at n = 29 and 1.4 at n = 30
     for n in (29, 30):

@@ -500,17 +500,25 @@ def test_sweep_matches_per_r_states(n, N_pair):
 TILE_WIDTH = _TILE_ENTRIES // 128
 
 
-def assert_diagnostics_match_chain_grid(prop, r_grid, stats):
+def assert_diagnostics_match_chain_grid(prop, n, size, r_grid, stats):
     """stats agree with the reductions of the chain_grid columns over every site.
 
     Row tiles change the order of each sum, so the gates are relative (with an
-    absolute floor for round-off sized leakage), not bit-for-bit.
+    absolute floor for round-off sized leakage), not bit-for-bit; bulk has the gate
+    of test_tiled_curvature_equals_the_untiled_chain.  wall reads the last site alone,
+    whose amplitude the row tiles' products may round otherwise than chain_grid's:
+    by 1.1e-18 at (3, 6002, 163 r), 3e-14 of bulk, so its gate is on that amplitude.
     """
     probs = np.abs(prop.chain_grid(r_grid)) ** 2
-    edge = prop.levels >= prop.size - min(max(10, 2 * prop.n), prop.size - 1)
-    assert stats[0] == pytest.approx(prop.levels @ probs, rel=1e-13, abs=0)
-    assert stats[1] == pytest.approx(probs[edge].sum(axis=0), rel=1e-13, abs=1e-15)
-    assert np.abs(stats[2] - np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)).max() <= 1e-14
+    edge = prop.levels >= size - min(max(10, 2 * n), size - 1)
+    assert stats.mean_photon == pytest.approx(prop.levels @ probs, rel=1e-13, abs=0)
+    assert stats.leakage == pytest.approx(probs[edge].sum(axis=0), rel=1e-13, abs=1e-15)
+    assert np.abs(stats.norm_error - np.abs(np.sqrt(probs.sum(axis=0)) - 1.0)).max() <= 1e-14
+    b2 = chain_couplings(n, len(prop.levels))  # the last is the coupling the cut removed
+    weights = np.array(np.diff(b2, prepend=0), dtype=float)  # exact int64 differences
+    np.testing.assert_allclose(stats.bulk, 2 * n * (weights @ probs), rtol=1e-14, atol=0)
+    wall_amplitude = np.sqrt(stats.wall / (2 * n * b2[-1]))  # |psi_{L-1}|
+    np.testing.assert_allclose(wall_amplitude, np.sqrt(probs[-1]), rtol=0, atol=1e-16)
 
 
 def test_multi_block_grid_matches_per_column_chain_grid():
@@ -532,7 +540,7 @@ def test_grid_diagnostics_equals_reductions_of_chain_grid(size):
     prop = VacuumSectorPropagator(3, size)
     r_grid = np.linspace(0.0, 1.0, 1201)
     stats = prop.grid_diagnostics(r_grid)
-    assert_diagnostics_match_chain_grid(prop, r_grid, stats)
+    assert_diagnostics_match_chain_grid(prop, 3, size, r_grid, stats)
     # r = 0 is the exact vacuum in every row tile: bulk is 2n b_0^2 = 2n n!, wall 0
     assert [s[0] for s in stats] == [0.0, 0.0, 0.0, 36.0, 0.0]
     assert [s[0] for s in prop.grid_diagnostics([0.0, 0j])] == [0.0, 0.0, 0.0, 36.0, 0.0]
@@ -566,7 +574,7 @@ def test_grid_diagnostics_tiles_cover_every_site_and_value(n, size, points, stra
     prop = VacuumSectorPropagator(n, size)
     r_grid = np.linspace(0.0, 1.2, points) if points > 1 else np.array([0.6])
     stats = prop.grid_diagnostics(r_grid)
-    assert_diagnostics_match_chain_grid(prop, r_grid, stats)
+    assert_diagnostics_match_chain_grid(prop, n, size, r_grid, stats)
     if points > 1:
         assert [s[0] for s in stats[:3]] == [0.0, 0.0, 0.0]
     if straddle:
@@ -803,8 +811,9 @@ def test_curvature_weights_are_the_commutators_closed_form(n):
     prop = VacuumSectorPropagator(n, 3000)
     sites = len(prop.levels)
     want = [2 * n * float(commutator_diagonal_value(n, j * n)) for j in range(sites)]
-    assert prop._bulk_weights.tolist() == want
-    assert prop._wall_weight == 2 * n * float(ladder_product(n, (sites - 1) * n))
+    bulk, wall = prop._column_weights[3:]  # the weight rows of Diagnostics' bulk and wall
+    assert bulk.tolist() == want
+    assert wall.tolist() == [0.0] * (sites - 1) + [2 * n * float(ladder_product(n, (sites - 1) * n))]
 
 
 def test_converged_region_entire_function():
@@ -856,7 +865,7 @@ def test_certified_region_is_the_prefix_before_the_first_failure(
 
     def grid_diagnostics(self, r_values):
         assert isinstance(r_values, np.ndarray) and np.array_equal(r_values, r_grid)
-        photons, leakage = stats[self.size]
+        photons, leakage = stats[len(self.levels)]  # n = 1: the chain has N sites
         zeros = np.zeros(len(r_grid))
         return Diagnostics(np.array(photons, float), np.array(leakage, float), zeros, zeros, zeros)
 
